@@ -42,7 +42,12 @@ from .solvers import (
 @dataclass(frozen=True)
 class RansacConfig:
     """Knobs of the robust loop. threshold is in pixels and applies to
-    sqrt(sampson_point) (or the symmetric transfer error for homographies)."""
+    sqrt(sampson_point) (or the symmetric transfer error for homographies).
+
+    affine_weight scales the affine Sampson terms in a hypothesis' truncated
+    total, which only breaks ties between hypotheses with equal inlier
+    counts. It never enters the inlier mask or the count, which use the
+    point Sampson distance alone, and homographies ignore it."""
 
     threshold: float = 0.5
     confidence: float = 0.99

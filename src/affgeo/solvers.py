@@ -128,17 +128,22 @@ def hartley_transform(points: FloatArray) -> Mat3:
 
 
 def _solve_nullspace(rows: FloatArray) -> FloatArray:
-    """Smallest right singular vector of the stacked constraint rows."""
-    if np.linalg.matrix_rank(rows) < 8:
-        raise DegenerateConfiguration(
-            f"constraint matrix rank {np.linalg.matrix_rank(rows)} < 8"
-        )
-    _, _, Vt = np.linalg.svd(rows)
+    """Smallest right singular vector of the stacked constraint rows.
+
+    One SVD gives both the rank (with matrix_rank's tolerance) and the null
+    vector. It is thin unless there are fewer rows than the 9 unknowns,
+    where only the full Vt holds the null vector.
+    """
+    _, S, Vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < 9)
+    tol = S.max() * (max(rows.shape) * np.finfo(S.dtype).eps)
+    rank = int(np.count_nonzero(S > tol))
+    if rank < 8:
+        raise DegenerateConfiguration(f"constraint matrix rank {rank} < 8")
     return Vt[-1].reshape(3, 3)
 
 
 def _unit_rows(rows: FloatArray) -> FloatArray:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
     return rows / np.maximum(norms, 1e-300)
 
 
@@ -206,13 +211,37 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence]) -> FundamentalMatr
 
 # --- homography from ACs -------------------------------------------------------
 
-def _dlt_rows(x1: float, y1: float, x2: float, y2: float) -> FloatArray:
-    return np.array(
+def _dlt_rows(pts1: FloatArray, pts2: FloatArray) -> FloatArray:
+    """The two DLT rows of each point pair, shape (n, 2, 9)."""
+    x1, y1 = pts1[:, 0], pts1[:, 1]
+    x2, y2 = pts2[:, 0], pts2[:, 1]
+    one = np.ones_like(x1)
+    zero = np.zeros_like(x1)
+    return np.stack(
         [
-            [x1, y1, 1, 0, 0, 0, -x2 * x1, -x2 * y1, -x2],
-            [0, 0, 0, x1, y1, 1, -y2 * x1, -y2 * y1, -y2],
+            np.stack([x1, y1, one, zero, zero, zero, -x2 * x1, -x2 * y1, -x2], axis=1),
+            np.stack([zero, zero, zero, x1, y1, one, -y2 * x1, -y2 * y1, -y2], axis=1),
         ],
-        dtype=float,
+        axis=1,
+    )
+
+
+def _affine_rows(p1: FloatArray, p2: FloatArray, A: FloatArray) -> FloatArray:
+    """The four rows tying each local affinity to the warp Jacobian, shape (n, 4, 9)."""
+    x1, y1 = p1[:, 0], p1[:, 1]
+    x2, y2 = p2[:, 0], p2[:, 1]
+    a11, a12 = A[:, 0, 0], A[:, 0, 1]
+    a21, a22 = A[:, 1, 0], A[:, 1, 1]
+    one = np.ones_like(x1)
+    zero = np.zeros_like(x1)
+    return np.stack(
+        [
+            np.stack([one, zero, zero, zero, zero, zero, -x2 - a11 * x1, -a11 * y1, -a11], axis=1),
+            np.stack([zero, one, zero, zero, zero, zero, -a12 * x1, -x2 - a12 * y1, -a12], axis=1),
+            np.stack([zero, zero, zero, one, zero, zero, -y2 - a21 * x1, -a21 * y1, -a21], axis=1),
+            np.stack([zero, zero, zero, zero, one, zero, -a22 * x1, -y2 - a22 * y1, -a22], axis=1),
+        ],
+        axis=1,
     )
 
 
@@ -224,39 +253,30 @@ def homography_from_acs(
     (2 DLT equations each); needs >= 8 constraints in total.
 
     As in fundamental_from_acs, rows are built in pixel coordinates and the
-    Hartley similarities enter as an exact change of variables.
+    Hartley similarities enter as an exact change of variables. Each AC
+    contributes its 2 DLT rows, then its 4 unit-normalised affine rows; the
+    extra points' DLT rows come last.
     """
-    n_constraints = 6 * len(acs) + 2 * len(extra_points)
+    n_acs = len(acs)
+    n_constraints = 6 * n_acs + 2 * len(extra_points)
     if n_constraints < 8:
         raise TooFewConstraints(f"{n_constraints} constraints < 8")
     pts1 = np.array([ac.p1 for ac in acs] + [as_vec2(p) for p, _ in extra_points])
     pts2 = np.array([ac.p2 for ac in acs] + [as_vec2(q) for _, q in extra_points])
+    A = np.array([ac.A for ac in acs]).reshape(n_acs, 2, 2)
     T1 = hartley_transform(pts1)
     T2 = hartley_transform(pts2)
     # H = T2^{-1} Hn T1: vec_rm(H) = (T2^{-1} kron T1^T) vec_rm(Hn).
     K = np.kron(np.linalg.inv(T2), T1.T)
 
-    blocks = []
-    for ac in acs:
-        x1, y1 = ac.p1
-        x2, y2 = ac.p2
-        (a11, a12), (a21, a22) = ac.A
-        aff = np.array(
-            [
-                [1, 0, 0, 0, 0, 0, -x2 - a11 * x1, -a11 * y1, -a11],
-                [0, 1, 0, 0, 0, 0, -a12 * x1, -x2 - a12 * y1, -a12],
-                [0, 0, 0, 1, 0, 0, -y2 - a21 * x1, -a21 * y1, -a21],
-                [0, 0, 0, 0, 1, 0, -a22 * x1, -y2 - a22 * y1, -a22],
-            ],
-            dtype=float,
-        )
-        blocks.append(_dlt_rows(x1, y1, x2, y2) @ K)
-        blocks.append(_unit_rows(aff @ K))
-    for p, q in extra_points:
-        p = as_vec2(p)
-        q = as_vec2(q)
-        blocks.append(_dlt_rows(p[0], p[1], q[0], q[1]) @ K)
-    Hn = _solve_nullspace(np.concatenate(blocks, axis=0))
+    dlt = _dlt_rows(pts1, pts2)
+    aff = _affine_rows(pts1[:n_acs], pts2[:n_acs], A)
+    rows = np.concatenate(
+        [np.concatenate([dlt[:n_acs], aff], axis=1).reshape(-1, 9), dlt[n_acs:].reshape(-1, 9)]
+    ) @ K
+    per_ac = rows[: 6 * n_acs].reshape(n_acs, 6, 9)  # a view: the writes reach rows
+    per_ac[:, 2:] = _unit_rows(per_ac[:, 2:])
+    Hn = _solve_nullspace(rows)
     H = np.linalg.inv(T2) @ Hn @ T1
     if abs(H[2, 2]) <= 1e-12:
         H = _largest_entry_sign_fix(H / np.linalg.norm(H))
@@ -297,6 +317,39 @@ def triangulate_point(P1: FloatArray, P2: FloatArray, x1, x2) -> FloatArray:
     return Vt[-1]
 
 
+def _normalised_points(points, K: CameraIntrinsics) -> FloatArray:
+    """Pixel points mapped through K^-1 and dehomogenised, shape (n, 2)."""
+    pts = np.asarray(points, dtype=np.float64).reshape(len(points), 2)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points have non-finite components")
+    xh = np.hstack([pts, np.ones((len(pts), 1))]) @ np.linalg.inv(K.K).T
+    return xh[:, :2] / xh[:, 2:3]
+
+
+def _positive_depth_count(R: Mat3, t: FloatArray, x1: FloatArray, x2: FloatArray) -> int:
+    """Points that triangulate in front of both cameras [I | 0] and [R | t].
+
+    Each point is triangulated as in triangulate_point, all in one batched
+    SVD; points at infinity (|w| <= 1e-14) do not count.
+    """
+    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    P2 = np.hstack([R, t.reshape(3, 1)])
+    A = np.stack(
+        [
+            x1[:, 0:1] * P1[2] - P1[0],
+            x1[:, 1:2] * P1[2] - P1[1],
+            x2[:, 0:1] * P2[2] - P2[0],
+            x2[:, 1:2] * P2[2] - P2[1],
+        ],
+        axis=1,
+    )
+    X = np.linalg.svd(A)[2][:, -1]
+    w = X[:, 3]
+    z1 = X[:, 2] * w
+    z2 = (X @ P2[2]) * w
+    return int(np.count_nonzero((np.abs(w) > 1e-14) & (z1 > 0.0) & (z2 > 0.0)))
+
+
 def decompose_essential(
     E,
     correspondences: Iterable[tuple],
@@ -319,28 +372,11 @@ def decompose_essential(
         (U @ W.T @ Vt, t),
         (U @ W.T @ Vt, -t),
     ]
-    K1inv = np.linalg.inv(K1.K)
-    K2inv = np.linalg.inv(K2.K)
-    pairs = [
-        (K1inv @ homogenize(p1), K2inv @ homogenize(p2))
-        for p1, p2 in correspondences
-    ]
+    pairs = list(correspondences)
     n = len(pairs)
-    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-    counts = []
-    for R, tt in candidates:
-        P2 = np.hstack([R, tt.reshape(3, 1)])
-        c = 0
-        for x1h, x2h in pairs:
-            X = triangulate_point(P1, P2, x1h[:2] / x1h[2], x2h[:2] / x2h[2])
-            w = X[3]
-            if abs(w) <= 1e-14:
-                continue
-            z1 = X[2] * w
-            z2 = (P2 @ X)[2] * w
-            if z1 > 0.0 and z2 > 0.0:
-                c += 1
-        counts.append(c)
+    x1 = _normalised_points([p1 for p1, _ in pairs], K1)
+    x2 = _normalised_points([p2 for _, p2 in pairs], K2)
+    counts = [_positive_depth_count(R, tt, x1, x2) for R, tt in candidates]
     best = int(np.argmax(counts))
     if counts[best] * 2 <= n or counts.count(counts[best]) > 1:
         raise CheiralityAmbiguity(f"positive-depth votes {counts} over {n} points")

@@ -1,6 +1,9 @@
 """Tests for the affine-aware LO-RANSAC estimators."""
 
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from affgeo.errors import NoModelFound, TooFewCorrespondences
 from affgeo.metrics import pose_error
 from affgeo.residuals import sampson_point_batch
 
-from conftest import planar_scene
+from conftest import cli_env, planar_scene
 
 
 class TestRansacFundamental:
@@ -139,6 +142,36 @@ class TestRansacPose:
             pose, _ = ransac_pose(acs, scene.K1, scene.K2, RansacConfig(threshold=0.5, seed=seed))
             rots.append(pose_error(pose, scene.pose).rotation_error)
         assert np.median(rots) <= 0.5  # degrees
+
+    def test_twenty_thousand_acs_within_address_space_cap(self):
+        # A full SVD of an LO refit's stacked rows needs an m x m U: at
+        # n = 20 000 that is gigabytes. The child caps its own address space,
+        # so a regression raises MemoryError there instead of exhausting the
+        # host; the thin solve runs in well under 100 MB.
+        script = textwrap.dedent(
+            """
+            import resource
+            cap = 768 << 20
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            from affgeo import NoiseSpec, RansacConfig, generate_scene, ransac_pose, sample_acs
+            scene = generate_scene(seed=11, n_planes=3)
+            noise = NoiseSpec(point_sigma=0.5, outlier_fraction=0.4)
+            acs, _ = sample_acs(scene, 20000, noise, seed=12)
+            pose, est = ransac_pose(acs, scene.K1, scene.K2, RansacConfig(seed=13))
+            print(int(est.inlier_mask.sum()))
+            """
+        )
+        # One BLAS thread: every BLAS thread reserves its own buffers, which
+        # count against the cap and grow with the host's core count.
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=cli_env(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert int(proc.stdout) > 20000 // 3
 
 
 class TestRansacHomography:

@@ -2,6 +2,7 @@
 and the homography warp Jacobian."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,17 @@ from affgeo.errors import (
     TooFewConstraints,
     TooFewCorrespondences,
 )
-from affgeo.solvers import RelativePose, apply_homography, axis_angle_rotation, skew3
+from affgeo import generate_scene, solvers
+from affgeo.core import homogenize
+from affgeo.solvers import (
+    RelativePose,
+    _positive_depth_count,
+    apply_homography,
+    axis_angle_rotation,
+    hartley_transform,
+    skew3,
+    triangulate_point,
+)
 
 from conftest import ac_on_plane, general_position_acs, planar_scene
 
@@ -43,6 +54,72 @@ def _fd_jacobian(H, p, step=1e-4):
         dp[i] = step
         J[:, i] = (apply_homography(H, p + dp) - apply_homography(H, p - dp)) / (2 * step)
     return J
+
+
+def _loop_homography_rows(acs, extra_points):
+    """Reference: the homography constraint rows built one AC at a time."""
+    pts1 = np.array([ac.p1 for ac in acs] + [np.asarray(p, float) for p, _ in extra_points])
+    pts2 = np.array([ac.p2 for ac in acs] + [np.asarray(q, float) for _, q in extra_points])
+    T1 = hartley_transform(pts1)
+    T2 = hartley_transform(pts2)
+    K = np.kron(np.linalg.inv(T2), T1.T)
+
+    def dlt(x1, y1, x2, y2):
+        return np.array(
+            [
+                [x1, y1, 1, 0, 0, 0, -x2 * x1, -x2 * y1, -x2],
+                [0, 0, 0, x1, y1, 1, -y2 * x1, -y2 * y1, -y2],
+            ],
+            dtype=float,
+        )
+
+    blocks = []
+    for ac in acs:
+        x1, y1 = ac.p1
+        x2, y2 = ac.p2
+        (a11, a12), (a21, a22) = ac.A
+        aff = np.array(
+            [
+                [1, 0, 0, 0, 0, 0, -x2 - a11 * x1, -a11 * y1, -a11],
+                [0, 1, 0, 0, 0, 0, -a12 * x1, -x2 - a12 * y1, -a12],
+                [0, 0, 0, 1, 0, 0, -y2 - a21 * x1, -a21 * y1, -a21],
+                [0, 0, 0, 0, 1, 0, -a22 * x1, -y2 - a22 * y1, -a22],
+            ],
+            dtype=float,
+        ) @ K
+        blocks.append(dlt(x1, y1, x2, y2) @ K)
+        blocks.append(aff / np.maximum(np.linalg.norm(aff, axis=1, keepdims=True), 1e-300))
+    for p, q in extra_points:
+        blocks.append(dlt(p[0], p[1], q[0], q[1]) @ K)
+    return np.concatenate(blocks, axis=0)
+
+
+def _loop_decompose(E, pairs, K1, K2):
+    """Reference: the cheirality vote with one triangulate_point per point.
+    Returns the candidates and their positive-depth counts."""
+    U, _, Vt = np.linalg.svd(E.matrix)
+    if np.linalg.det(U) < 0.0:
+        U = -U
+    if np.linalg.det(Vt) < 0.0:
+        Vt = -Vt
+    W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    t = U[:, 2]
+    candidates = [(U @ W @ Vt, t), (U @ W @ Vt, -t), (U @ W.T @ Vt, t), (U @ W.T @ Vt, -t)]
+    K1inv = np.linalg.inv(K1.K)
+    K2inv = np.linalg.inv(K2.K)
+    rays = [(K1inv @ homogenize(p1), K2inv @ homogenize(p2)) for p1, p2 in pairs]
+    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    counts = []
+    for R, tt in candidates:
+        P2 = np.hstack([R, tt.reshape(3, 1)])
+        c = 0
+        for x1h, x2h in rays:
+            X = triangulate_point(P1, P2, x1h[:2] / x1h[2], x2h[:2] / x2h[2])
+            w = X[3]
+            if abs(w) > 1e-14 and X[2] * w > 0.0 and (P2 @ X)[2] * w > 0.0:
+                c += 1
+        counts.append(c)
+    return candidates, counts
 
 
 class TestFundamentalFromAcs:
@@ -186,6 +263,28 @@ class TestHomographyFromAcs:
             homography_from_acs([ac, ac])
 
 
+    @pytest.mark.parametrize("n_acs", [2, 7, 600])
+    @pytest.mark.parametrize("n_extra", [0, 3])
+    def test_rows_match_per_ac_loop(self, monkeypatch, n_acs, n_extra):
+        captured = []
+        solve = solvers._solve_nullspace
+
+        def spy(rows):
+            captured.append(rows)
+            return solve(rows)
+
+        monkeypatch.setattr(solvers, "_solve_nullspace", spy)
+        for seed in range(5):
+            scene = planar_scene(seed=seed)
+            noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.3)
+            acs, _ = sample_acs(scene, n_acs + n_extra, noise, seed=seed)
+            extra = [(ac.p1, ac.p2) for ac in acs[n_acs:]]
+            homography_from_acs(acs[:n_acs], extra)
+            expected = _loop_homography_rows(acs[:n_acs], extra)
+            assert captured[-1].shape == expected.shape
+            assert np.array_equal(captured[-1], expected)
+
+
 class TestEssentialFromFundamental:
     def test_essential_fixed_point(self, rng):
         t = rng.normal(size=3)
@@ -259,6 +358,37 @@ class TestDecomposeEssential:
         E = EssentialMatrix(skew3([1.0, 0.0, 0.0]))
         with pytest.raises(CheiralityAmbiguity):
             decompose_essential(E, [((0.0, 0.0), (0.0, 0.0))], IDENTITY_K, IDENTITY_K)
+
+    def test_empty_inlier_list_raises(self):
+        E = EssentialMatrix(skew3([1.0, 0.0, 0.0]))
+        with pytest.raises(CheiralityAmbiguity, match=r"\[0, 0, 0, 0\] over 0 points"):
+            decompose_essential(E, [], IDENTITY_K, IDENTITY_K)
+
+    def test_batched_vote_matches_per_point_loop(self):
+        # Noisy ACs with outliers, and E from the scene or from a wrong model,
+        # so that the votes range from clear majorities to near ties.
+        for seed in range(40):
+            scene = generate_scene(seed=900 + seed, n_planes=3)
+            noise = NoiseSpec(point_sigma=1.0, outlier_fraction=0.4)
+            acs, _ = sample_acs(scene, 60, noise, seed=seed)
+            pairs = [(ac.p1, ac.p2) for ac in acs]
+            F = scene.F_gt if seed % 2 == 0 else fundamental_from_acs(acs[:3])
+            E = essential_from_fundamental(F, scene.K1, scene.K2)
+            candidates, counts = _loop_decompose(E, pairs, scene.K1, scene.K2)
+            x1 = np.array([ac.p1 for ac in acs])
+            x2 = np.array([ac.p2 for ac in acs])
+            x1 = np.column_stack([x1, np.ones(len(acs))]) @ np.linalg.inv(scene.K1.K).T
+            x2 = np.column_stack([x2, np.ones(len(acs))]) @ np.linalg.inv(scene.K2.K).T
+            x1, x2 = x1[:, :2] / x1[:, 2:], x2[:, :2] / x2[:, 2:]
+            assert [_positive_depth_count(R, t, x1, x2) for R, t in candidates] == counts
+            best = int(np.argmax(counts))
+            if counts[best] * 2 <= len(pairs) or counts.count(counts[best]) > 1:
+                with pytest.raises(CheiralityAmbiguity, match=re.escape(str(counts))):
+                    decompose_essential(E, pairs, scene.K1, scene.K2)
+            else:
+                pose = decompose_essential(E, pairs, scene.K1, scene.K2)
+                R, t = candidates[best]
+                assert np.array_equal(pose.R, R) and np.array_equal(pose.t, t)
 
 
 class TestGtAffineFromHomography:

@@ -12,6 +12,7 @@ from .core import (
     AffineCorrespondence,
     AffineDecomposition,
     CameraIntrinsics,
+    ac_array,
     decompose_affine,
     relative_frame,
     rotation2,
@@ -80,6 +81,7 @@ __all__ = [
     "RelativePose",
     "RobustEstimate",
     "SyntheticScene",
+    "ac_array",
     "adaptive_iteration_bound",
     "affine_constraint_residual",
     "affine_similarity",

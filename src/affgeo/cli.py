@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AffineCorrespondence
+from .core import AffineCorrespondence, ac_array
 from .errors import (
     AffgeoError,
     CheiralityAmbiguity,
@@ -75,15 +75,6 @@ from .synthdata import CameraSpec, NoiseSpec, generate_scene, sample_acs
 RESIDUAL_COLUMNS = "index,e_pc,sd_p,m0,n0,sd_a1,sd_a2"
 
 
-def _ac_columns(acs):
-    x1 = np.array([ac.p1[0] for ac in acs])
-    y1 = np.array([ac.p1[1] for ac in acs])
-    x2 = np.array([ac.p2[0] for ac in acs])
-    y2 = np.array([ac.p2[1] for ac in acs])
-    A = np.array([ac.A for ac in acs])
-    return x1, y1, x2, y2, A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-
-
 # --- commands -------------------------------------------------------------------
 
 def cmd_residuals(args) -> int:
@@ -91,7 +82,7 @@ def cmd_residuals(args) -> int:
     if not acs:
         raise FileFormatError(f"no AC rows in {args.ac_file}")
     F = FundamentalMatrix(read_mat3(args.f_file))
-    x1, y1, x2, y2, a11, a12, a21, a22 = _ac_columns(acs)
+    x1, y1, x2, y2, a11, a12, a21, a22 = ac_array(acs).T
     e_pc = epipolar_terms(x1, y1, x2, y2, F)[0]
     sd_p = sampson_point_batch(x1, y1, x2, y2, F)
     (m_terms, n_terms) = affine_terms(x1, y1, x2, y2, a11, a12, a21, a22, F)
@@ -129,15 +120,19 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    try:
+        cfg = RansacConfig(
+            threshold=args.threshold,
+            confidence=args.confidence,
+            max_iterations=args.max_iterations,
+            affine_weight=args.affine_weight,
+            seed=args.seed,
+            lo_enabled=not args.no_lo,
+        )
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     acs = read_acs(args.ac_file)
-    cfg = RansacConfig(
-        threshold=args.threshold,
-        confidence=args.confidence,
-        max_iterations=args.max_iterations,
-        affine_weight=args.affine_weight,
-        seed=args.seed,
-        lo_enabled=not args.no_lo,
-    )
     prefix = args.out
     pose = None
     if args.model == "fundamental":
@@ -282,13 +277,17 @@ def cmd_synth(args) -> int:
         probe.unlink()
     except OSError as exc:
         raise FileFormatError(f"output directory {args.out_dir} is not writable: {exc}")
-    scene = generate_scene(seed=args.seed, n_planes=args.planes, camera_spec=CameraSpec())
-    noise = NoiseSpec(
-        point_sigma=args.point_sigma,
-        affine_rel_sigma=args.affine_sigma,
-        outlier_fraction=args.outliers,
-    )
-    acs, labels = sample_acs(scene, args.n, noise, seed=args.seed + 1)
+    try:
+        scene = generate_scene(seed=args.seed, n_planes=args.planes, camera_spec=CameraSpec())
+        noise = NoiseSpec(
+            point_sigma=args.point_sigma,
+            affine_rel_sigma=args.affine_sigma,
+            outlier_fraction=args.outliers,
+        )
+        acs, labels = sample_acs(scene, args.n, noise, seed=args.seed + 1)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     write_acs(out_dir / "acs.csv", acs)
     write_labels(out_dir / "labels.txt", labels)
     write_mat3(out_dir / "F.txt", scene.F_gt.matrix)
@@ -341,10 +340,8 @@ def cmd_gt_affine(args) -> int:
         sys.stdout.write(render_report(report))
     else:
         sys.stdout.write(AC_HEADER + "\n")
-        for ac in rows:
-            fields = [ac.p1[0], ac.p1[1], ac.p2[0], ac.p2[1],
-                      ac.A[0, 0], ac.A[0, 1], ac.A[1, 0], ac.A[1, 1]]
-            sys.stdout.write(",".join(fmt(v) for v in fields) + "\n")
+        for row in ac_array(rows).tolist():
+            sys.stdout.write(",".join(fmt(v) for v in row) + "\n")
     if skipped:
         sys.stderr.write(f"warning: skipped {skipped} point(s) at infinity\n")
         return 3
@@ -421,7 +418,7 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (DimensionMismatch, PointAtInfinity, DegenerateConfiguration, EmptyInput) as exc:

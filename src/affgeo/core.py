@@ -3,6 +3,8 @@ residual-shape decomposition of local 2x2 affine transformations.
 
 Conventions used throughout the package:
   - points are length-2 float arrays (pixels), homogenised by consumers;
+  - an AC set in memory is one (N, 8) float64 array (see ac_array) whose
+    columns follow the AC file: x1, y1, x2, y2, a11, a12, a21, a22;
   - A maps an infinitesimal neighbourhood of p1 (first image) onto the
     neighbourhood of p2 (second image);
   - angles are radians, counter-clockwise positive, reported in (-pi, pi].
@@ -98,6 +100,29 @@ class AffineCorrespondence:
         object.__setattr__(self, "p1", as_vec2(self.p1))
         object.__setattr__(self, "p2", as_vec2(self.p2))
         object.__setattr__(self, "A", as_mat2(self.A))
+
+
+def ac_array(acs) -> FloatArray:
+    """An AC set as one (N, 8) float64 array in the AC file's column order:
+    x1, y1, x2, y2, a11, a12, a21, a22.
+
+    Takes a sequence of AffineCorrespondence, or an array already in this
+    layout, which must be (N, 8) and finite and is returned without a copy
+    when it is float64.
+    """
+    if isinstance(acs, np.ndarray):
+        X = np.asarray(acs, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != 8:
+            raise ValueError(f"AC array must have shape (N, 8), got {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("AC array has non-finite entries")
+        return X
+    X = np.empty((len(acs), 8))
+    if len(X):  # an empty list does not broadcast into the (0, 2) columns
+        X[:, 0:2] = [ac.p1 for ac in acs]
+        X[:, 2:4] = [ac.p2 for ac in acs]
+        X[:, 4:8] = [ac.A.ravel() for ac in acs]
+    return X
 
 
 @dataclass(frozen=True)

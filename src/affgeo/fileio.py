@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import AffineCorrespondence, CameraIntrinsics, Mat3
+from .core import AffineCorrespondence, CameraIntrinsics, Mat3, ac_array
 from .errors import DimensionMismatch, FileFormatError
 from .solvers import RelativePose
 
@@ -74,10 +74,8 @@ def read_acs(path) -> list[AffineCorrespondence]:
 def write_acs(path, acs: Iterable[AffineCorrespondence]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(AC_HEADER + "\n")
-        for ac in acs:
-            fields = [ac.p1[0], ac.p1[1], ac.p2[0], ac.p2[1],
-                      ac.A[0, 0], ac.A[0, 1], ac.A[1, 0], ac.A[1, 1]]
-            fh.write(",".join(fmt(v) for v in fields) + "\n")
+        for row in ac_array(list(acs)).tolist():
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def read_matches(path) -> np.ndarray:

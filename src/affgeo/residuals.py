@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AffineCorrespondence, FloatArray, Mat3, as_mat3
+from .core import AffineCorrespondence, FloatArray, Mat3, ac_array, as_mat3
 from .errors import SingularNormalMatrix
 
 # Denominators at or below this are treated as degenerate and the Sampson
@@ -132,10 +132,7 @@ def epipolar_residual(p1, p2, F) -> float:
 
 def affine_constraint_residual(ac: AffineCorrespondence, F) -> tuple[float, float]:
     """Both affine constraint rows (M0, N0); zero for a noise-free AC."""
-    (m, n) = affine_terms(
-        ac.p1[0], ac.p1[1], ac.p2[0], ac.p2[1],
-        ac.A[0, 0], ac.A[0, 1], ac.A[1, 0], ac.A[1, 1], F,
-    )
+    (m, n) = affine_terms(*ac_array([ac])[0], F)
     return float(m[0]), float(n[0])
 
 
@@ -148,10 +145,7 @@ def sampson_point(p1, p2, F) -> float:
 
 def sampson_affine(ac: AffineCorrespondence, F) -> tuple[float, float]:
     """Affine Sampson distances of both constraint rows; +inf sentinels."""
-    sa1, sa2 = sampson_affine_batch(
-        ac.p1[0], ac.p1[1], ac.p2[0], ac.p2[1],
-        ac.A[0, 0], ac.A[0, 1], ac.A[1, 0], ac.A[1, 1], F,
-    )
+    sa1, sa2 = sampson_affine_batch(*ac_array([ac])[0], F)
     return float(sa1), float(sa2)
 
 

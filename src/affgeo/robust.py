@@ -4,19 +4,21 @@ Hypotheses are scored with the point Sampson distance plus a weighted sum of
 both affine Sampson components; the inlier test itself stays point-only so the
 pixel threshold keeps its meaning. Models are ranked by (inlier count desc,
 truncated score asc, hypothesis index asc), which makes the outcome a pure
-function of the inputs and the seed.
+function of the inputs and the seed. Both estimators run the same loop
+(_LoRansac); each supplies only its minimal solve, residuals and LO refit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from . import parallel
-from .core import AffineCorrespondence, CameraIntrinsics
+from .core import AffineCorrespondence, CameraIntrinsics, ac_array
 from .errors import (
     DegenerateConfiguration,
     NoModelFound,
@@ -63,8 +65,10 @@ class RansacConfig:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.affine_weight < 0.0:
-            raise ValueError("affine_weight must be >= 0")
+        if not self.affine_weight >= 0.0:
+            raise ValueError(f"affine_weight must be >= 0, got {self.affine_weight}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -91,133 +95,142 @@ def adaptive_iteration_bound(
     return min(max_iterations, int(math.ceil(math.log(1.0 - confidence) / denom)))
 
 
-class _AcArrays:
-    """Column-major views of an AC list for vectorised scoring."""
+class _LoRansac:
+    """The seeded LO-RANSAC loop that both estimators share.
 
-    def __init__(self, acs: Sequence[AffineCorrespondence]):
-        self.x1 = np.array([ac.p1[0] for ac in acs])
-        self.y1 = np.array([ac.p1[1] for ac in acs])
-        self.x2 = np.array([ac.p2[0] for ac in acs])
-        self.y2 = np.array([ac.p2[1] for ac in acs])
-        A = np.array([ac.A for ac in acs])
-        self.a11, self.a12 = A[:, 0, 0], A[:, 0, 1]
-        self.a21, self.a22 = A[:, 1, 0], A[:, 1, 1]
-        self.n = len(acs)
+    The estimator iterates over samples(), solves each minimal sample itself
+    and passes every model it gets to offer(). offer() scores the model
+    against all correspondences, ranks it by (inlier count desc, truncated
+    total asc, iteration asc), runs up to 16 local-optimisation refits over
+    the inlier set while they improve, and tightens the adaptive bound that
+    ends samples(). residuals(model) returns the squared distance the
+    threshold applies to and the per-correspondence scores whose truncated
+    sum is the total; refit(mask) solves from the inliers and may raise one
+    of the degenerate exceptions.
+
+    The minimal solve stays in the estimator's own body because the
+    benchmark's tracer (bench/tracing.py) tells a minimal solve from an LO
+    refit by the code object that calls the solver; TestTracerSeam in
+    tests/test_robust.py pins this.
+    """
+
+    def __init__(self, cfg: RansacConfig, sample_size: int, population: int,
+                 residuals, refit, degenerate: tuple):
+        if population < sample_size:
+            raise TooFewCorrespondences(f"need >= {sample_size} ACs, got {population}")
+        self.cfg = cfg
+        self.sample_size = sample_size
+        self.population = population
+        self.residuals = residuals
+        self.refit = refit
+        self.degenerate = degenerate
+        self.thr2 = cfg.threshold * cfg.threshold
+        self.bound = cfg.max_iterations
+        self.iterations = 0
+        self.best = None  # (key, model, mask)
+
+    def samples(self):
+        """Index arrays of the minimal samples, drawn until the adaptive bound."""
+        rng = np.random.default_rng(self.cfg.seed)
+        while self.iterations < self.bound:
+            self.iterations += 1
+            yield rng.choice(self.population, size=self.sample_size, replace=False)
+
+    def _support(self, model):
+        d2, scores = self.residuals(model)
+        mask = d2 <= self.thr2
+        return mask, int(np.sum(mask)), float(np.sum(np.minimum(scores, self.thr2)))
+
+    def offer(self, model) -> None:
+        mask, count, total = self._support(model)
+        if count < self.sample_size:
+            return
+        if self.best is not None and (-count, total, self.iterations) >= self.best[0]:
+            return
+        if self.cfg.lo_enabled:
+            for _ in range(16):
+                try:
+                    candidate = self.refit(mask)
+                except self.degenerate:
+                    break
+                new_mask, new_count, new_total = self._support(candidate)
+                if (-new_count, new_total) >= (-count, total):
+                    break
+                model, mask, count, total = candidate, new_mask, new_count, new_total
+        self.best = ((-count, total, self.iterations), model, mask)
+        self.bound = min(
+            self.bound,
+            adaptive_iteration_bound(
+                count / mask.size, self.cfg.confidence, self.sample_size, self.cfg.max_iterations
+            ),
+        )
+
+    def result(self) -> RobustEstimate:
+        if self.best is None:
+            raise NoModelFound(
+                f"no hypothesis reached {self.sample_size} inliers in {self.iterations} iterations"
+            )
+        (_, total, _), model, mask = self.best
+        return RobustEstimate(
+            model=model, inlier_mask=mask, iterations_run=self.iterations, score=total
+        )
 
 
-def _fundamental_scores(cols: _AcArrays, F, affine_weight: float):
-    """(point Sampson, combined score) per AC; combined adds the weighted
-    affine components and is +inf-safe."""
-    n = cols.n
+def _fundamental_scores(columns: np.ndarray, F, affine_weight: float):
+    """(point Sampson, combined score) per AC; columns is the (8, N)
+    transpose of an ac_array. Combined adds the weighted affine components
+    and is +inf-safe."""
+    n = columns.shape[1]
     sp = np.empty(n)
     combined = np.empty(n)
 
     def chunk(lo, hi):
-        s = slice(lo, hi)
-        sp[s] = sampson_point_batch(cols.x1[s], cols.y1[s], cols.x2[s], cols.y2[s], F)
+        cols = columns[:, lo:hi]
+        sp[lo:hi] = sampson_point_batch(*cols[:4], F)
         if affine_weight > 0.0:
-            sa1, sa2 = sampson_affine_batch(
-                cols.x1[s], cols.y1[s], cols.x2[s], cols.y2[s],
-                cols.a11[s], cols.a12[s], cols.a21[s], cols.a22[s], F,
-            )
-            combined[s] = sp[s] + affine_weight * (sa1 + sa2)
+            sa1, sa2 = sampson_affine_batch(*cols, F)
+            combined[lo:hi] = sp[lo:hi] + affine_weight * (sa1 + sa2)
         else:
-            combined[s] = sp[s]
+            combined[lo:hi] = sp[lo:hi]
 
     parallel.run_chunks(chunk, n)
     return sp, combined
 
 
-def _truncated_total(combined: np.ndarray, thr2: float) -> float:
-    return float(np.sum(np.minimum(combined, thr2)))
-
-
 def ransac_fundamental(
-    acs: Sequence[AffineCorrespondence], cfg: RansacConfig
+    acs: Sequence[AffineCorrespondence] | np.ndarray, cfg: RansacConfig
 ) -> RobustEstimate:
-    """Robust fundamental matrix from ACs (minimal sample: 3)."""
-    n = len(acs)
-    if n < 3:
-        raise TooFewCorrespondences(f"need >= 3 ACs, got {n}")
-    cols = _AcArrays(acs)
-    rng = np.random.default_rng(cfg.seed)
-    thr2 = cfg.threshold * cfg.threshold
-
-    best_key = None
-    best: tuple | None = None
-    bound = cfg.max_iterations
-    i = 0
-    while i < bound:
-        idx = rng.choice(n, size=3, replace=False)
-        i += 1
+    """Robust fundamental matrix from ACs or ac_array rows (minimal sample: 3)."""
+    X = ac_array(acs)
+    columns = np.ascontiguousarray(X.T)  # strided column views score slower
+    loop = _LoRansac(
+        cfg, 3, len(X),
+        residuals=lambda F: _fundamental_scores(columns, F.matrix, cfg.affine_weight),
+        refit=lambda mask: fundamental_from_acs(X[mask]),
+        degenerate=(DegenerateConfiguration, TooFewCorrespondences),
+    )
+    for idx in loop.samples():
         try:
-            model = fundamental_from_acs([acs[j] for j in idx])
-        except DegenerateConfiguration:
+            model = fundamental_from_acs(X[idx])
+        except loop.degenerate:
             continue
-        sp, combined = _fundamental_scores(cols, model.matrix, cfg.affine_weight)
-        mask = sp <= thr2
-        count = int(np.sum(mask))
-        if count < 3:
-            continue
-        total = _truncated_total(combined, thr2)
-        key = (-count, total, i)
-        if best_key is not None and key >= best_key:
-            continue
-        if cfg.lo_enabled:
-            model, mask, count, total = _lo_refit_fundamental(
-                acs, cols, cfg, model, mask, count, total
-            )
-            key = (-count, total, i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (model, mask, total)
-            bound = min(
-                bound,
-                adaptive_iteration_bound(
-                    count / n, cfg.confidence, 3, cfg.max_iterations
-                ),
-            )
-    if best is None:
-        raise NoModelFound(f"no hypothesis reached 3 inliers in {i} iterations")
-    model, mask, total = best
-    return RobustEstimate(model=model, inlier_mask=mask, iterations_run=i, score=total)
-
-
-def _lo_refit_fundamental(acs, cols, cfg, model, mask, count, total):
-    """Least-squares refit over all inlier rows, repeated while it improves."""
-    thr2 = cfg.threshold * cfg.threshold
-    for _ in range(16):
-        if count < 3:
-            break
-        try:
-            refit = fundamental_from_acs([ac for ac, m in zip(acs, mask) if m])
-        except (DegenerateConfiguration, TooFewCorrespondences):
-            break
-        sp, combined = _fundamental_scores(cols, refit.matrix, cfg.affine_weight)
-        new_mask = sp <= thr2
-        new_count = int(np.sum(new_mask))
-        new_total = _truncated_total(combined, thr2)
-        if (-new_count, new_total) < (-count, total):
-            model, mask, count, total = refit, new_mask, new_count, new_total
-        else:
-            break
-    return model, mask, count, total
+        loop.offer(model)
+    return loop.result()
 
 
 def ransac_pose(
-    acs: Sequence[AffineCorrespondence],
+    acs: Sequence[AffineCorrespondence] | np.ndarray,
     K1: CameraIntrinsics,
     K2: CameraIntrinsics,
     cfg: RansacConfig,
 ) -> tuple[RelativePose, RobustEstimate]:
     """Robust relative pose: F by RANSAC, projected to E, decomposed with a
     cheirality vote over the inlier set."""
-    estimate = ransac_fundamental(acs, cfg)
+    X = ac_array(acs)
+    estimate = ransac_fundamental(X, cfg)
     E = essential_from_fundamental(estimate.model, K1, K2)
-    inliers = [
-        (ac.p1, ac.p2) for ac, m in zip(acs, estimate.inlier_mask) if m
-    ]
-    pose = decompose_essential(E, inliers, K1, K2)
+    inliers = X[estimate.inlier_mask]
+    pose = decompose_essential(E, list(zip(inliers[:, 0:2], inliers[:, 2:4])), K1, K2)
     return pose, estimate
 
 
@@ -245,74 +258,36 @@ def _homography_residuals(H: Homography, pts1h: np.ndarray, pts2h: np.ndarray) -
 
 
 def ransac_homography(
-    acs: Sequence[AffineCorrespondence],
+    acs: Sequence[AffineCorrespondence] | np.ndarray,
     extra_points: Sequence[tuple],
     cfg: RansacConfig,
 ) -> RobustEstimate:
     """Robust homography (minimal sample: 2 ACs). The mask covers the ACs
     first, then the extra point pairs; inliers satisfy a symmetric transfer
     error of at most the threshold."""
-    n_acs = len(acs)
-    if n_acs < 2:
-        raise TooFewCorrespondences(f"need >= 2 ACs, got {n_acs}")
-    pts1 = np.array([ac.p1 for ac in acs] + [np.asarray(p, float) for p, _ in extra_points])
-    pts2 = np.array([ac.p2 for ac in acs] + [np.asarray(q, float) for _, q in extra_points])
-    n = pts1.shape[0]
-    ones = np.ones((n, 1))
-    pts1h = np.hstack([pts1, ones])
-    pts2h = np.hstack([pts2, ones])
-    rng = np.random.default_rng(cfg.seed)
-    thr2 = cfg.threshold * cfg.threshold
+    X = ac_array(acs)
+    n_acs = len(X)
+    extra = np.asarray(extra_points, dtype=np.float64).reshape(-1, 4)  # x1, y1, x2, y2
+    ones = np.ones((n_acs + len(extra), 1))
+    pts1h = np.hstack([np.concatenate([X[:, 0:2], extra[:, 0:2]]), ones])
+    pts2h = np.hstack([np.concatenate([X[:, 2:4], extra[:, 2:4]]), ones])
 
-    def support(H: Homography):
+    def residuals(H: Homography):
         ste2 = _homography_residuals(H, pts1h, pts2h)
-        mask = ste2 <= thr2
-        return mask, int(np.sum(mask)), _truncated_total(ste2, thr2)
+        return ste2, ste2
 
-    def refit(mask):
-        inl_acs = [ac for ac, m in zip(acs, mask[:n_acs]) if m]
-        inl_pts = [pq for pq, m in zip(extra_points, mask[n_acs:]) if m]
-        return homography_from_acs(inl_acs, inl_pts)
-
-    best_key = None
-    best = None
-    bound = cfg.max_iterations
-    i = 0
-    while i < bound:
-        idx = rng.choice(n_acs, size=2, replace=False)
-        i += 1
+    loop = _LoRansac(
+        cfg, 2, n_acs,
+        residuals=residuals,
+        refit=lambda mask: homography_from_acs(
+            X[mask[:n_acs]], list(compress(extra_points, mask[n_acs:]))
+        ),
+        degenerate=(DegenerateConfiguration, TooFewConstraints),
+    )
+    for idx in loop.samples():
         try:
-            model = homography_from_acs([acs[j] for j in idx])
-        except (DegenerateConfiguration, TooFewConstraints):
+            model = homography_from_acs(X[idx])
+        except loop.degenerate:
             continue
-        mask, count, total = support(model)
-        if count < 2:
-            continue
-        key = (-count, total, i)
-        if best_key is not None and key >= best_key:
-            continue
-        if cfg.lo_enabled:
-            for _ in range(16):
-                try:
-                    candidate = refit(mask)
-                except (DegenerateConfiguration, TooFewConstraints):
-                    break
-                new_mask, new_count, new_total = support(candidate)
-                if (-new_count, new_total) < (-count, total):
-                    model, mask, count, total = candidate, new_mask, new_count, new_total
-                else:
-                    break
-            key = (-count, total, i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (model, mask, total)
-            bound = min(
-                bound,
-                adaptive_iteration_bound(
-                    count / n, cfg.confidence, 2, cfg.max_iterations
-                ),
-            )
-    if best is None:
-        raise NoModelFound(f"no hypothesis reached 2 inliers in {i} iterations")
-    model, mask, total = best
-    return RobustEstimate(model=model, inlier_mask=mask, iterations_run=i, score=total)
+        loop.offer(model)
+    return loop.result()

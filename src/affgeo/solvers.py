@@ -22,6 +22,7 @@ from .core import (
     FloatArray,
     Mat2,
     Mat3,
+    ac_array,
     as_mat3,
     as_vec2,
     homogenize,
@@ -157,8 +158,9 @@ def _assert_not_collinear(points: FloatArray, which: str) -> None:
 
 # --- fundamental matrix from ACs ----------------------------------------------
 
-def fundamental_from_acs(acs: Sequence[AffineCorrespondence]) -> FundamentalMatrix:
-    """Fundamental matrix from >= 3 ACs (3 linear equations each).
+def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> FundamentalMatrix:
+    """Fundamental matrix from >= 3 ACs (3 linear equations each), given as
+    AffineCorrespondence objects or as ac_array rows.
 
     Exact for 3 noise-free ACs, least squares beyond. The result is rank-2
     projected, unit Frobenius norm, largest-magnitude entry positive.
@@ -168,17 +170,13 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence]) -> FundamentalMatr
     is applied as an exact change of variables on the 9 unknowns, which
     conditions the solve without altering the row space.
     """
-    if len(acs) < 3:
-        raise TooFewCorrespondences(f"need >= 3 ACs, got {len(acs)}")
-    p1 = np.array([ac.p1 for ac in acs])
-    p2 = np.array([ac.p2 for ac in acs])
+    X = ac_array(acs)
+    if len(X) < 3:
+        raise TooFewCorrespondences(f"need >= 3 ACs, got {len(X)}")
+    p1, p2 = X[:, 0:2], X[:, 2:4]
     _assert_not_collinear(p1, "the first image")
     _assert_not_collinear(p2, "the second image")
-    A = np.array([ac.A for ac in acs])
-    x1, y1 = p1[:, 0], p1[:, 1]
-    x2, y2 = p2[:, 0], p2[:, 1]
-    a11, a12 = A[:, 0, 0], A[:, 0, 1]
-    a21, a22 = A[:, 1, 0], A[:, 1, 1]
+    x1, y1, x2, y2, a11, a12, a21, a22 = X.T
     one = np.ones_like(x1)
     zero = np.zeros_like(x1)
     # Unknown ordering: (f11, f12, f13, f21, f22, f23, f31, f32, f33).
@@ -226,12 +224,9 @@ def _dlt_rows(pts1: FloatArray, pts2: FloatArray) -> FloatArray:
     )
 
 
-def _affine_rows(p1: FloatArray, p2: FloatArray, A: FloatArray) -> FloatArray:
+def _affine_rows(X: FloatArray) -> FloatArray:
     """The four rows tying each local affinity to the warp Jacobian, shape (n, 4, 9)."""
-    x1, y1 = p1[:, 0], p1[:, 1]
-    x2, y2 = p2[:, 0], p2[:, 1]
-    a11, a12 = A[:, 0, 0], A[:, 0, 1]
-    a21, a22 = A[:, 1, 0], A[:, 1, 1]
+    x1, y1, x2, y2, a11, a12, a21, a22 = X.T
     one = np.ones_like(x1)
     zero = np.zeros_like(x1)
     return np.stack(
@@ -246,31 +241,32 @@ def _affine_rows(p1: FloatArray, p2: FloatArray, A: FloatArray) -> FloatArray:
 
 
 def homography_from_acs(
-    acs: Sequence[AffineCorrespondence],
+    acs: Sequence[AffineCorrespondence] | FloatArray,
     extra_points: Sequence[tuple] = (),
 ) -> Homography:
-    """Homography from ACs (6 equations each) plus optional bare point pairs
-    (2 DLT equations each); needs >= 8 constraints in total.
+    """Homography from ACs (6 equations each; objects or ac_array rows) plus
+    optional bare point pairs (2 DLT equations each); needs >= 8 constraints
+    in total.
 
     As in fundamental_from_acs, rows are built in pixel coordinates and the
     Hartley similarities enter as an exact change of variables. Each AC
     contributes its 2 DLT rows, then its 4 unit-normalised affine rows; the
     extra points' DLT rows come last.
     """
-    n_acs = len(acs)
+    X = ac_array(acs)
+    n_acs = len(X)
     n_constraints = 6 * n_acs + 2 * len(extra_points)
     if n_constraints < 8:
         raise TooFewConstraints(f"{n_constraints} constraints < 8")
-    pts1 = np.array([ac.p1 for ac in acs] + [as_vec2(p) for p, _ in extra_points])
-    pts2 = np.array([ac.p2 for ac in acs] + [as_vec2(q) for _, q in extra_points])
-    A = np.array([ac.A for ac in acs]).reshape(n_acs, 2, 2)
+    pts1 = np.concatenate([X[:, 0:2], np.reshape([as_vec2(p) for p, _ in extra_points], (-1, 2))])
+    pts2 = np.concatenate([X[:, 2:4], np.reshape([as_vec2(q) for _, q in extra_points], (-1, 2))])
     T1 = hartley_transform(pts1)
     T2 = hartley_transform(pts2)
     # H = T2^{-1} Hn T1: vec_rm(H) = (T2^{-1} kron T1^T) vec_rm(Hn).
     K = np.kron(np.linalg.inv(T2), T1.T)
 
     dlt = _dlt_rows(pts1, pts2)
-    aff = _affine_rows(pts1[:n_acs], pts2[:n_acs], A)
+    aff = _affine_rows(X)
     rows = np.concatenate(
         [np.concatenate([dlt[:n_acs], aff], axis=1).reshape(-1, 9), dlt[n_acs:].reshape(-1, 9)]
     ) @ K

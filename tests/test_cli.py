@@ -123,6 +123,56 @@ class TestResiduals:
         assert csv.read_text().startswith("index,e_pc,sd_p,m0,n0,sd_a1,sd_a2")
 
 
+def _error_lines(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--threshold", "-1"],
+        ["estimate", "--confidence", "1"],
+        ["estimate", "--max-iterations", "0"],
+        ["estimate", "--affine-weight", "-1"],
+        ["estimate", "--affine-weight", "nan"],
+        ["estimate", "--seed", "-1"],
+        ["synth", "--n", "0"],
+        ["synth", "--seed", "-1"],
+        ["synth", "--outliers", "1"],
+        ["synth", "--planes", "0"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_option_value_exit_2(args, synth_dir, tmp_path, capsys):
+    if args[0] == "estimate":
+        args = args + [str(synth_dir / "acs.csv"), "--model", "fundamental",
+                       "--out", str(tmp_path / "x")]
+    else:
+        args = args + ["--out-dir", str(tmp_path / "d")]
+    assert main(args) == 2
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+    assert not (tmp_path / "x_model.txt").exists() and not (tmp_path / "d" / "acs.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [("estimate", "ac"), ("estimate", "intrinsics"), ("residuals", "ac"), ("residuals", "f")],
+)
+def test_non_ascii_input_exit_2(command, bad, synth_dir, tmp_path, capsys):
+    files = {"ac": synth_dir / "acs.csv", "f": synth_dir / "F.txt",
+             "intrinsics": synth_dir / "K1.txt"}
+    corrupt = tmp_path / f"bad_{bad}.txt"
+    corrupt.write_bytes(files[bad].read_bytes().replace(b"\n", b"\xff\n", 2))
+    files[bad] = corrupt
+    if command == "estimate":
+        args = ["estimate", files["ac"], "--model", "essential", "--intrinsics",
+                files["intrinsics"], "--out", tmp_path / "x"]
+    else:
+        args = ["residuals", files["ac"], files["f"]]
+    assert main([str(a) for a in args]) == 2
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+
+
 class TestEstimate:
     def test_fundamental_recovers_gt(self, synth_dir, tmp_path, capsys):
         prefix = tmp_path / "est"

@@ -10,12 +10,17 @@ from affgeo import (
     AffineCorrespondence,
     AffineDecomposition,
     CameraIntrinsics,
+    NoiseSpec,
+    ac_array,
     decompose_affine,
+    generate_scene,
     relative_frame,
     rotation2,
+    sample_acs,
     synthesize_affine,
     wrap_angle,
 )
+from affgeo.fileio import AC_HEADER, read_acs, write_acs
 from affgeo.errors import InvalidDecomposition, NonPositiveDeterminant, NonPositiveScale
 
 from conftest import random_orientation_preserving
@@ -160,3 +165,32 @@ class TestTypes:
             CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0)
         K = CameraIntrinsics(fx=600.0, fy=500.0, cx=320.0, cy=240.0, skew=0.5)
         assert K.K[0, 1] == 0.5 and K.K[2, 2] == 1.0
+
+
+class TestAcArray:
+    def test_columns_follow_the_ac_file(self, tmp_path):
+        scene = generate_scene(seed=4, n_planes=2)
+        acs, _ = sample_acs(scene, 30, NoiseSpec(point_sigma=0.5, outlier_fraction=0.3), seed=5)
+        path = tmp_path / "acs.csv"
+        write_acs(path, acs)
+        X = ac_array(read_acs(path))
+        assert AC_HEADER == "x1,y1,x2,y2,a11,a12,a21,a22"
+        assert X.shape == (30, 8) and X.dtype == np.float64
+        assert np.array_equal(X, np.loadtxt(path, delimiter=",", skiprows=1))
+
+    def test_empty_sequence(self):
+        assert ac_array([]).shape == (0, 8)
+
+    def test_float64_array_passes_through(self):
+        X = np.arange(16, dtype=np.float64).reshape(2, 8)
+        assert ac_array(X) is X
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((3, 7)), np.zeros(8), np.array([[0.0, 0, 0, 0, 1, 0, 0, np.nan]]),
+         np.array([[np.inf, 0, 0, 0, 1, 0, 0, 1]])],
+        ids=["n-by-7", "1-d", "nan", "inf"],
+    )
+    def test_rejects_bad_arrays(self, bad):
+        with pytest.raises(ValueError):
+            ac_array(bad)

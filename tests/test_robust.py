@@ -10,6 +10,7 @@ import pytest
 
 from affgeo import (
     NoiseSpec,
+    robust,
     RansacConfig,
     adaptive_iteration_bound,
     generate_scene,
@@ -214,6 +215,40 @@ class TestRansacHomography:
             ransac_homography([ac], [], RansacConfig(seed=0))
 
 
+class TestTracerSeam:
+    """The benchmark's tracer tells a minimal solve from an LO refit by the
+    code object of the solver's caller: minimal solves are called from the
+    estimator's own body, LO refits from anywhere else."""
+
+    @pytest.mark.parametrize("estimator", ["pose", "homography"])
+    def test_minimal_solves_come_from_the_estimator_body(self, monkeypatch, estimator):
+        callers = []
+
+        def spy(solve):
+            def wrapper(*args, **kwargs):
+                callers.append(sys._getframe(1).f_code)
+                return solve(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(robust, "fundamental_from_acs", spy(robust.fundamental_from_acs))
+        monkeypatch.setattr(robust, "homography_from_acs", spy(robust.homography_from_acs))
+        noise = NoiseSpec(point_sigma=0.5, outlier_fraction=0.4)
+        if estimator == "pose":
+            scene = generate_scene(seed=12, n_planes=3)
+            acs, _ = sample_acs(scene, 200, noise, seed=13)
+            _, est = ransac_pose(acs, scene.K1, scene.K2, RansacConfig(seed=14))
+            loop = ransac_fundamental.__code__
+        else:
+            scene = planar_scene(seed=12)
+            acs, _ = sample_acs(scene, 200, noise, seed=13)
+            est = ransac_homography(acs, [], RansacConfig(threshold=2.0, seed=14))
+            loop = ransac_homography.__code__
+        minimal = [c for c in callers if c == loop]
+        assert len(minimal) == est.iterations_run
+        assert len(callers) > len(minimal)  # the LO refits
+
+
 class TestRansacConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -224,3 +259,5 @@ class TestRansacConfig:
             RansacConfig(affine_weight=-0.1)
         with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)
+        with pytest.raises(ValueError):
+            RansacConfig(seed=-1)

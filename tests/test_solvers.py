@@ -13,6 +13,7 @@ from affgeo import (
     EssentialMatrix,
     Homography,
     NoiseSpec,
+    ac_array,
     decompose_essential,
     essential_from_fundamental,
     fundamental_from_acs,
@@ -199,6 +200,19 @@ class TestFundamentalFromAcs:
         F = fundamental_from_acs(acs).matrix
         assert abs(np.linalg.det(F)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [3, 50, 600])
+    def test_ac_array_input_bit_identical(self, scene, n):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.3)
+        for seed in range(5):
+            acs, _ = sample_acs(scene, n, noise, seed=seed)
+            try:
+                F = fundamental_from_acs(acs)
+            except DegenerateConfiguration:
+                with pytest.raises(DegenerateConfiguration):
+                    fundamental_from_acs(ac_array(acs))
+                continue
+            assert np.array_equal(fundamental_from_acs(ac_array(acs)).matrix, F.matrix)
+
     def test_returned_model_fits_clean_acs(self, clean_acs):
         acs, _ = clean_acs
         F = fundamental_from_acs(acs)
@@ -279,10 +293,14 @@ class TestHomographyFromAcs:
             noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.3)
             acs, _ = sample_acs(scene, n_acs + n_extra, noise, seed=seed)
             extra = [(ac.p1, ac.p2) for ac in acs[n_acs:]]
-            homography_from_acs(acs[:n_acs], extra)
             expected = _loop_homography_rows(acs[:n_acs], extra)
+            H = homography_from_acs(acs[:n_acs], extra)
             assert captured[-1].shape == expected.shape
             assert np.array_equal(captured[-1], expected)
+            # the same ACs as ac_array rows: the same rows, the same matrix
+            H_rows = homography_from_acs(ac_array(acs[:n_acs]), extra)
+            assert np.array_equal(captured[-1], expected)
+            assert np.array_equal(H_rows.matrix, H.matrix)
 
 
 class TestEssentialFromFundamental:

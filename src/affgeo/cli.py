@@ -79,10 +79,10 @@ RESIDUAL_COLUMNS = "index,e_pc,sd_p,m0,n0,sd_a1,sd_a2"
 
 def cmd_residuals(args) -> int:
     acs = read_acs(args.ac_file)
-    if not acs:
+    if len(acs) == 0:
         raise FileFormatError(f"no AC rows in {args.ac_file}")
     F = FundamentalMatrix(read_mat3(args.f_file))
-    x1, y1, x2, y2, a11, a12, a21, a22 = ac_array(acs).T
+    x1, y1, x2, y2, a11, a12, a21, a22 = acs.T
     e_pc = epipolar_terms(x1, y1, x2, y2, F)[0]
     sd_p = sampson_point_batch(x1, y1, x2, y2, F)
     (m_terms, n_terms) = affine_terms(x1, y1, x2, y2, a11, a12, a21, a22, F)
@@ -353,8 +353,7 @@ def cmd_gt_affine(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affgeo",
-        description="Affine-correspondence two-view geometry toolkit. "
-        "Set AFFGEO_THREADS to control internal parallelism (default 1).",
+        description="Affine-correspondence two-view geometry toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

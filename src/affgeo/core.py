@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .errors import InvalidDecomposition, NonPositiveDeterminant, NonPositiveScale
+from .errors import InvalidDecomposition, InvalidValue, NonPositiveDeterminant, NonPositiveScale
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -61,9 +61,9 @@ def as_mat3(M) -> Mat3:
         M = M.matrix
     out = np.asarray(M, dtype=np.float64).reshape(3, 3)
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"3x3 matrix has non-finite entries: {out}")
+        raise InvalidValue(f"3x3 matrix has non-finite entries: {out}")
     if not np.any(out):
-        raise ValueError("3x3 matrix is identically zero")
+        raise InvalidValue("3x3 matrix is identically zero")
     return out
 
 
@@ -150,7 +150,7 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         if not (self.fx > 0.0 and self.fy > 0.0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+            raise InvalidValue(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
     @property
     def K(self) -> Mat3:

@@ -11,6 +11,11 @@ class AffgeoError(Exception):
     """Base class for all affgeo errors."""
 
 
+class InvalidValue(AffgeoError, ValueError):
+    """A value violates its type's invariant (zero 3x3 model, non-positive
+    focal length, R not a rotation)."""
+
+
 # --- affine decomposition / synthesis ---
 
 class NonPositiveDeterminant(AffgeoError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -30,59 +30,57 @@ def fmt(v: float) -> str:
 
 # --- tabular formats -----------------------------------------------------------
 
-def _parse_table(text: str, n_fields: int, what: str) -> list[tuple[list[float], int]]:
-    """Comma/whitespace-separated numeric rows; returns (values, line_no) pairs."""
-    rows = []
+def _parse_table(text: str, n_fields: int, what: str) -> np.ndarray:
+    """Comma/whitespace-separated numeric rows as an (N, n_fields) float64
+    array. A file with several faults reports the first one in file order."""
+    rows, line_nos, fault = [], [], None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = [f for f in line.replace(",", " ").split() if f]
-        if line_no == 1 or not rows:
-            # tolerate a header naming the columns
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                if all(any(c.isalpha() for c in f) for f in fields):
-                    continue
-                raise FileFormatError(f"unparseable {what} row: {raw!r}", line=line_no)
-        else:
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                raise FileFormatError(f"unparseable {what} row: {raw!r}", line=line_no)
+        fields = line.replace(",", " ").split()
+        try:
+            values = list(map(float, fields))
+        except ValueError:
+            if not rows and all(any(c.isalpha() for c in f) for f in fields):
+                continue  # tolerate a header naming the columns
+            fault = FileFormatError(f"unparseable {what} row: {raw!r}", line=line_no)
+            break
         if len(values) != n_fields:
-            raise FileFormatError(
-                f"expected {n_fields} fields per {what} row, got {len(values)}",
-                line=line_no,
+            fault = FileFormatError(
+                f"expected {n_fields} fields per {what} row, got {len(values)}", line=line_no
             )
-        if not all(np.isfinite(values)):
-            raise FileFormatError(f"non-finite value in {what} row", line=line_no)
-        rows.append((values, line_no))
-    return rows
+            break
+        rows.append(values)
+        line_nos.append(line_no)
+    table = np.array(rows, dtype=np.float64).reshape(-1, n_fields)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        line_no = line_nos[int(np.argmin(finite))]
+        raise FileFormatError(f"non-finite value in {what} row", line=line_no)
+    if fault is not None:
+        raise fault
+    return table
 
 
-def read_acs(path) -> list[AffineCorrespondence]:
+def read_acs(path) -> np.ndarray:
+    """(N, 8) float64 array in ac_array's layout: x1, y1, x2, y2, a11, a12, a21, a22."""
     with open(path, "r", encoding="ascii") as fh:
-        rows = _parse_table(fh.read(), 8, "AC")
-    return [
-        AffineCorrespondence(p1=(v[0], v[1]), p2=(v[2], v[3]), A=[[v[4], v[5]], [v[6], v[7]]])
-        for v, _ in rows
-    ]
+        return _parse_table(fh.read(), 8, "AC")
 
 
-def write_acs(path, acs: Iterable[AffineCorrespondence]) -> None:
+def write_acs(path, acs: Sequence[AffineCorrespondence] | np.ndarray) -> None:
+    """AC file from a list of AffineCorrespondence or an ac_array."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(AC_HEADER + "\n")
-        for row in ac_array(list(acs)).tolist():
+        for row in ac_array(acs).tolist():
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def read_matches(path) -> np.ndarray:
     """(N, 4) array of x1, y1, x2, y2 rows."""
     with open(path, "r", encoding="ascii") as fh:
-        rows = _parse_table(fh.read(), 4, "match")
-    return np.array([v for v, _ in rows], dtype=float).reshape(-1, 4)
+        return _parse_table(fh.read(), 4, "match")
 
 
 def write_matches(path, matches) -> None:
@@ -95,8 +93,7 @@ def write_matches(path, matches) -> None:
 def read_points(path) -> np.ndarray:
     """(N, 2) array of x, y rows."""
     with open(path, "r", encoding="ascii") as fh:
-        rows = _parse_table(fh.read(), 2, "point")
-    return np.array([v for v, _ in rows], dtype=float).reshape(-1, 2)
+        return _parse_table(fh.read(), 2, "point")
 
 
 def write_points(path, points) -> None:

@@ -1,40 +1,15 @@
-"""Deterministic chunked evaluation.
+"""Retired chunked evaluation.
 
-The worker count comes from the AFFGEO_THREADS environment variable
-(default 1). Work is split into index chunks that write disjoint slices of
-preallocated arrays and every element is computed independently, so the
-results are bit-identical whatever the thread count or scheduling; reductions
-always happen afterwards over the full array in a fixed order.
+The package no longer calls run_chunks and no longer reads AFFGEO_THREADS:
+scoring is straight-line numpy over the whole array. The name stays only
+because the benchmark's tracer (bench/tracing.py) patches it.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
-
-# Below this many elements the pool overhead dominates; values are identical
-# either way, so the gate cannot affect determinism.
-_MIN_PARALLEL = 512
-
-
-def thread_count() -> int:
-    """Configured worker count (>= 1)."""
-    raw = os.environ.get("AFFGEO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def run_chunks(task: Callable[[int, int], None], n: int, threads: int | None = None) -> None:
-    """Invoke task(lo, hi) over a partition of range(n)."""
-    workers = thread_count() if threads is None else max(1, threads)
-    if workers <= 1 or n < _MIN_PARALLEL:
-        task(0, n)
-        return
-    step = math.ceil(n / workers)
-    spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda span: task(*span), spans))
+    """Invoke task(0, n); threads is ignored."""
+    task(0, n)

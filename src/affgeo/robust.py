@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import parallel
 from .core import AffineCorrespondence, CameraIntrinsics, ac_array
 from .errors import (
     DegenerateConfiguration,
@@ -180,21 +179,11 @@ def _fundamental_scores(columns: np.ndarray, F, affine_weight: float):
     """(point Sampson, combined score) per AC; columns is the (8, N)
     transpose of an ac_array. Combined adds the weighted affine components
     and is +inf-safe."""
-    n = columns.shape[1]
-    sp = np.empty(n)
-    combined = np.empty(n)
-
-    def chunk(lo, hi):
-        cols = columns[:, lo:hi]
-        sp[lo:hi] = sampson_point_batch(*cols[:4], F)
-        if affine_weight > 0.0:
-            sa1, sa2 = sampson_affine_batch(*cols, F)
-            combined[lo:hi] = sp[lo:hi] + affine_weight * (sa1 + sa2)
-        else:
-            combined[lo:hi] = sp[lo:hi]
-
-    parallel.run_chunks(chunk, n)
-    return sp, combined
+    sp = sampson_point_batch(*columns[:4], F)
+    if affine_weight > 0.0:
+        sa1, sa2 = sampson_affine_batch(*columns, F)
+        return sp, sp + affine_weight * (sa1 + sa2)
+    return sp, sp
 
 
 def ransac_fundamental(
@@ -236,25 +225,15 @@ def ransac_pose(
 
 def _homography_residuals(H: Homography, pts1h: np.ndarray, pts2h: np.ndarray) -> np.ndarray:
     """Squared symmetric transfer error per correspondence; +inf at infinity."""
-    n = pts1h.shape[0]
-    out = np.empty(n)
-    Hm = H.matrix
-    Hinv = np.linalg.inv(Hm)
-
-    def chunk(lo, hi):
-        s = slice(lo, hi)
-        fwd = pts1h[s] @ Hm.T
-        bwd = pts2h[s] @ Hinv.T
-        ok = (np.abs(fwd[:, 2]) > 1e-12) & (np.abs(bwd[:, 2]) > 1e-12)
-        d = np.full(hi - lo, np.inf)
-        if np.any(ok):
-            df = fwd[ok, :2] / fwd[ok, 2:3] - pts2h[s][ok, :2]
-            db = bwd[ok, :2] / bwd[ok, 2:3] - pts1h[s][ok, :2]
-            d[ok] = np.sum(df * df, axis=1) + np.sum(db * db, axis=1)
-        out[s] = d
-
-    parallel.run_chunks(chunk, n)
-    return out
+    fwd = pts1h @ H.matrix.T
+    bwd = pts2h @ np.linalg.inv(H.matrix).T
+    ok = (np.abs(fwd[:, 2]) > 1e-12) & (np.abs(bwd[:, 2]) > 1e-12)
+    d = np.full(len(pts1h), np.inf)
+    if np.any(ok):
+        df = fwd[ok, :2] / fwd[ok, 2:3] - pts2h[ok, :2]
+        db = bwd[ok, :2] / bwd[ok, 2:3] - pts1h[ok, :2]
+        d[ok] = np.sum(df * df, axis=1) + np.sum(db * db, axis=1)
+    return d
 
 
 def ransac_homography(

@@ -30,6 +30,7 @@ from .core import (
 from .errors import (
     CheiralityAmbiguity,
     DegenerateConfiguration,
+    InvalidValue,
     PointAtInfinity,
     TooFewConstraints,
     TooFewCorrespondences,
@@ -77,10 +78,10 @@ class RelativePose:
         R = np.asarray(self.R, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.t, dtype=np.float64).reshape(3)
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-6 or np.linalg.det(R) < 0.0:
-            raise ValueError("R is not a proper rotation")
+            raise InvalidValue("R is not a proper rotation")
         nt = np.linalg.norm(t)
         if nt <= 1e-12:
-            raise ValueError("translation direction must be nonzero")
+            raise InvalidValue("translation direction must be nonzero")
         if abs(nt - 1.0) > 1e-12:  # keep already-unit vectors bit-stable
             t = t / nt
         object.__setattr__(self, "R", R)

@@ -109,6 +109,11 @@ class TestResiduals:
         code, _, err = run_cli(["residuals", bad, f_file])
         assert code == 2
         assert "line 2" in err
+        header_only = tmp_path / "header_only.csv"
+        write_acs(header_only, [])
+        code, _, err = run_cli(["residuals", header_only, f_file])
+        assert code == 2
+        assert "no AC rows" in err
 
     def test_dimension_mismatch_exit_3(self, tmp_path, synth_dir):
         short = tmp_path / "F8.txt"
@@ -173,6 +178,25 @@ def test_non_ascii_input_exit_2(command, bad, synth_dir, tmp_path, capsys):
     assert len(_error_lines(capsys.readouterr().err)) == 1
 
 
+@pytest.mark.parametrize("bad", ["zero F", "fx = 0", "R not a rotation"])
+def test_invalid_value_exit_3(bad, synth_dir, tmp_path, capsys):
+    if bad == "zero F":
+        write_mat3(tmp_path / "F.txt", np.zeros((3, 3)))
+        args = ["residuals", synth_dir / "acs.csv", tmp_path / "F.txt"]
+    elif bad == "fx = 0":
+        (tmp_path / "K.txt").write_text("0 500 320 240\n")
+        args = ["estimate", synth_dir / "acs.csv", "--model", "essential",
+                "--intrinsics", tmp_path / "K.txt", "--out", tmp_path / "x"]
+    else:
+        (tmp_path / "est").mkdir()
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "est" / "a.txt").write_text("2 0 0 0 1 0 0 0 1\n1 0 0\n")
+        write_pose(tmp_path / "gt" / "a.txt", RelativePose(R=np.eye(3), t=[1.0, 0.0, 0.0]))
+        args = ["eval-pose", tmp_path / "est", tmp_path / "gt"]
+    assert main([str(a) for a in args]) == 3
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+
+
 class TestEstimate:
     def test_fundamental_recovers_gt(self, synth_dir, tmp_path, capsys):
         prefix = tmp_path / "est"
@@ -203,13 +227,14 @@ class TestEstimate:
         assert code == 2
 
     def test_too_few_exit_5(self, tmp_path):
-        ac_file = tmp_path / "two.csv"
         scene = generate_scene(seed=3)
         acs, _ = sample_acs(scene, 2, seed=1)
-        write_acs(ac_file, acs)
-        code, _, _ = run_cli(["estimate", ac_file, "--model", "fundamental",
-                              "--out", tmp_path / "x"])
-        assert code == 5
+        for name, rows in (("two.csv", acs), ("header_only.csv", [])):
+            ac_file = tmp_path / name
+            write_acs(ac_file, rows)
+            code, _, _ = run_cli(["estimate", ac_file, "--model", "fundamental",
+                                  "--out", tmp_path / "x"])
+            assert code == 5
 
     def test_no_model_exit_4(self, tmp_path):
         ac = AffineCorrespondence(p1=(1.0, 2.0), p2=(3.0, 4.0), A=np.eye(2))
@@ -368,8 +393,8 @@ class TestGtAffine:
         write_points(pts_file, [[1.0, 1.0]])
         assert main(["gt-affine", str(h_file), str(pts_file), "--out", str(out_file)]) == 0
         acs = read_acs(out_file)
-        assert np.allclose(acs[0].A, 2.0 * np.eye(2))
-        assert np.allclose(acs[0].p2, [2.0, 2.0])
+        assert np.allclose(acs[0, 4:8], [2.0, 0.0, 0.0, 2.0])
+        assert np.allclose(acs[0, 2:4], [2.0, 2.0])
 
 
 class TestPipelineClosure:

@@ -173,13 +173,18 @@ class TestAcArray:
         acs, _ = sample_acs(scene, 30, NoiseSpec(point_sigma=0.5, outlier_fraction=0.3), seed=5)
         path = tmp_path / "acs.csv"
         write_acs(path, acs)
-        X = ac_array(read_acs(path))
+        X = read_acs(path)
         assert AC_HEADER == "x1,y1,x2,y2,a11,a12,a21,a22"
-        assert X.shape == (30, 8) and X.dtype == np.float64
+        assert X.shape == (30, 8) and X.dtype == np.float64 and X.flags.c_contiguous
+        assert ac_array(X) is X
         assert np.array_equal(X, np.loadtxt(path, delimiter=",", skiprows=1))
 
-    def test_empty_sequence(self):
+    def test_empty_sequence(self, tmp_path):
         assert ac_array([]).shape == (0, 8)
+        path = tmp_path / "header_only.csv"
+        write_acs(path, [])
+        assert path.read_text() == AC_HEADER + "\n"
+        assert read_acs(path).shape == (0, 8)
 
     def test_float64_array_passes_through(self):
         X = np.arange(16, dtype=np.float64).reshape(2, 8)

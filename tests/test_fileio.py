@@ -6,6 +6,7 @@ import pytest
 from affgeo import AffineCorrespondence, CameraIntrinsics, RelativePose
 from affgeo.errors import DimensionMismatch, FileFormatError
 from affgeo.fileio import (
+    AC_HEADER,
     RunReport,
     parse_report,
     read_acs,
@@ -46,10 +47,11 @@ class TestAcFile:
         acs = _tricky_acs()
         write_acs(path, acs)
         back = read_acs(path)
-        for a, b in zip(acs, back):
-            assert np.array_equal(a.p1, b.p1)
-            assert np.array_equal(a.p2, b.p2)
-            assert np.array_equal(a.A, b.A)
+        assert back.shape == (len(acs), 8)
+        for a, row in zip(acs, back):
+            assert np.array_equal(a.p1, row[0:2])
+            assert np.array_equal(a.p2, row[2:4])
+            assert np.array_equal(a.A, row[4:8].reshape(2, 2))
 
     def test_byte_round_trip(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -63,7 +65,7 @@ class TestAcFile:
             "# a comment\nx1,y1,x2,y2,a11,a12,a21,a22\n1,2,3,4,5,6,7,8  # trailing\n"
         )
         acs = read_acs(path)
-        assert len(acs) == 1 and acs[0].A[1, 1] == 8.0
+        assert acs.shape == (1, 8) and acs[0, 7] == 8.0
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "acs.csv"
@@ -84,6 +86,13 @@ class TestAcFile:
         path.write_text("1,2,3,4,5,6,7,nan\n")
         with pytest.raises(FileFormatError):
             read_acs(path)
+        # several faults: the first in file order (nan on line 3) is reported,
+        # not the 7-field row on line 5
+        row = "1,2,3,4,5,6,7,8\n"
+        path.write_text(AC_HEADER + "\n" + row + "1,2,3,4,5,6,7,nan\n" + row + "1,2,3,4,5,6,7\n")
+        with pytest.raises(FileFormatError, match="non-finite") as exc:
+            read_acs(path)
+        assert exc.value.line == 3
 
 
 class TestTables:

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ class TestRansacFundamental:
         assert np.array_equal(a.model.matrix, b.model.matrix)
         assert np.array_equal(a.inlier_mask, b.inlier_mask)
         assert a.score == b.score
+
+    @pytest.mark.parametrize("model", ["fundamental", "homography"])
+    def test_scoring_starts_no_thread(self, scene, monkeypatch, model):
+        acs, _ = sample_acs(scene, 600, NoiseSpec(point_sigma=0.5, outlier_fraction=0.3), seed=2)
+        monkeypatch.setenv("AFFGEO_THREADS", "4")
+
+        def refuse(thread):
+            raise AssertionError(f"estimation started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        if model == "fundamental":
+            ransac_fundamental(acs, RansacConfig(seed=11))
+        else:
+            ransac_homography(acs, [], RansacConfig(seed=11))
 
     def test_mask_respects_threshold(self, scene):
         acs, _ = sample_acs(scene, 120, NoiseSpec(point_sigma=0.7, outlier_fraction=0.3), seed=5)

@@ -3,8 +3,8 @@ gt-affine.
 
 Every command is a single process and its stdout plus written files are a
 pure function of the flags and the seed; wall-clock timing goes to stderr.
-Exit codes: 0 ok, 2 input error, 3 data error, 4 estimation failure,
-5 insufficient data. Angle-valued flags are in degrees.
+Exit codes (EXIT_CODES): 0 ok, 2 input error, 3 data error, 4 estimation
+failure, 5 insufficient data. Angle-valued flags are in degrees.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from .core import AffineCorrespondence, ac_array
 from .errors import (
     AffgeoError,
     CheiralityAmbiguity,
-    DegenerateConfiguration,
-    DimensionMismatch,
-    EmptyInput,
     FileFormatError,
+    InvalidArgument,
     NoModelFound,
     PointAtInfinity,
     TooFewConstraints,
@@ -74,6 +72,14 @@ from .synthdata import CameraSpec, NoiseSpec, generate_scene, sample_acs
 
 RESIDUAL_COLUMNS = "index,e_pc,sd_p,m0,n0,sd_a1,sd_a2"
 
+# Exit code per error class, looked up along the error's MRO; other AffgeoErrors exit 3.
+EXIT_CODES = {
+    InvalidArgument: 2, FileFormatError: 2, OSError: 2, UnicodeDecodeError: 2,
+    NoModelFound: 4, CheiralityAmbiguity: 4,
+    TooFewCorrespondences: 5, TooFewConstraints: 5,
+    AffgeoError: 3,
+}
+
 
 # --- commands -------------------------------------------------------------------
 
@@ -120,21 +126,16 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    try:
-        cfg = RansacConfig(
-            threshold=args.threshold,
-            confidence=args.confidence,
-            max_iterations=args.max_iterations,
-            affine_weight=args.affine_weight,
-            seed=args.seed,
-            lo_enabled=not args.no_lo,
-        )
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    cfg = RansacConfig(
+        threshold=args.threshold,
+        confidence=args.confidence,
+        max_iterations=args.max_iterations,
+        affine_weight=args.affine_weight,
+        seed=args.seed,
+        lo_enabled=not args.no_lo,
+    )
     acs = read_acs(args.ac_file)
     prefix = args.out
-    pose = None
     if args.model == "fundamental":
         estimate = ransac_fundamental(acs, cfg)
     elif args.model == "homography":
@@ -225,6 +226,10 @@ def cmd_eval_mma(args) -> int:
 
 
 def cmd_eval_pose(args) -> int:
+    try:
+        thresholds = [float(tok) for tok in args.thresholds.split(",") if tok]
+    except ValueError:
+        raise InvalidArgument(f"--thresholds must be numbers, got {args.thresholds!r}") from None
     est_index = _stem_index(args.est_dir)
     gt_index = _stem_index(args.gt_dir)
     if len(est_index) != len(gt_index):
@@ -235,7 +240,6 @@ def cmd_eval_pose(args) -> int:
         raise FileFormatError(f"no pose files found in {args.est_dir}")
     if sorted(est_index) != sorted(gt_index):
         raise FileFormatError("pose file stems do not align between the two directories")
-    thresholds = [float(tok) for tok in args.thresholds.split(",") if tok]
     rot_errors, trans_errors, combined = [], [], []
     metrics: dict = {"n_pairs": len(est_index)}
     csv_rows = ["pair,rotation_error_deg,translation_error_deg"]
@@ -247,10 +251,10 @@ def cmd_eval_pose(args) -> int:
         metrics[f"pair.{stem}.rotation_error_deg"] = err.rotation_error
         metrics[f"pair.{stem}.translation_error_deg"] = err.translation_error
         csv_rows.append(f"{stem},{fmt(err.rotation_error)},{fmt(err.translation_error)}")
-    if args.csv:
-        Path(args.csv).write_text("\n".join(csv_rows) + "\n", encoding="ascii")
     for tau, auc in zip(thresholds, pose_auc(combined, thresholds)):
         metrics[f"auc@{fmt(tau)}"] = auc
+    if args.csv:
+        Path(args.csv).write_text("\n".join(csv_rows) + "\n", encoding="ascii")
     metrics["rotation_rmse_deg"] = rmse(rot_errors)
     metrics["rotation_median_deg"] = median(rot_errors)
     metrics["translation_rmse_deg"] = rmse(trans_errors)
@@ -270,24 +274,17 @@ def cmd_eval_pose(args) -> int:
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write-probe"
-        probe.write_text("", encoding="ascii")
-        probe.unlink()
-    except OSError as exc:
-        raise FileFormatError(f"output directory {args.out_dir} is not writable: {exc}")
-    try:
-        scene = generate_scene(seed=args.seed, n_planes=args.planes, camera_spec=CameraSpec())
-        noise = NoiseSpec(
-            point_sigma=args.point_sigma,
-            affine_rel_sigma=args.affine_sigma,
-            outlier_fraction=args.outliers,
-        )
-        acs, labels = sample_acs(scene, args.n, noise, seed=args.seed + 1)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
+    probe = out_dir / ".write-probe"  # an unwritable directory fails before any work
+    probe.write_text("", encoding="ascii")
+    probe.unlink()
+    scene = generate_scene(seed=args.seed, n_planes=args.planes, camera_spec=CameraSpec())
+    noise = NoiseSpec(
+        point_sigma=args.point_sigma,
+        affine_rel_sigma=args.affine_sigma,
+        outlier_fraction=args.outliers,
+    )
+    acs, labels = sample_acs(scene, args.n, noise, seed=args.seed + 1)
     write_acs(out_dir / "acs.csv", acs)
     write_labels(out_dir / "labels.txt", labels)
     write_mat3(out_dir / "F.txt", scene.F_gt.matrix)
@@ -413,29 +410,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args)
-    except FileFormatError as exc:
+        return args.func(args)
+    except (AffgeoError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (DimensionMismatch, PointAtInfinity, DegenerateConfiguration, EmptyInput) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (NoModelFound, CheiralityAmbiguity) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except (TooFewCorrespondences, TooFewConstraints) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 5
-    except AffgeoError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
     finally:
         elapsed_ms = (time.perf_counter() - start) * 1e3
         sys.stderr.write(f"# timing_ms = {elapsed_ms:.3f}\n")
-    return code
 
 
 if __name__ == "__main__":

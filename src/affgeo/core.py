@@ -39,7 +39,7 @@ def as_vec2(p) -> Vec2:
     """Coerce to a finite (2,) float64 array."""
     v = np.asarray(p, dtype=np.float64).reshape(2)
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"point has non-finite components: {v}")
+        raise InvalidValue(f"point has non-finite components: {v}")
     return v
 
 
@@ -47,7 +47,7 @@ def as_mat2(A) -> Mat2:
     """Coerce to a finite (2, 2) float64 array."""
     M = np.asarray(A, dtype=np.float64).reshape(2, 2)
     if not np.all(np.isfinite(M)):
-        raise ValueError(f"2x2 matrix has non-finite entries: {M}")
+        raise InvalidValue(f"2x2 matrix has non-finite entries: {M}")
     return M
 
 
@@ -113,9 +113,9 @@ def ac_array(acs) -> FloatArray:
     if isinstance(acs, np.ndarray):
         X = np.asarray(acs, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != 8:
-            raise ValueError(f"AC array must have shape (N, 8), got {X.shape}")
+            raise InvalidValue(f"AC array must have shape (N, 8), got {X.shape}")
         if not np.all(np.isfinite(X)):
-            raise ValueError("AC array has non-finite entries")
+            raise InvalidValue("AC array has non-finite entries")
         return X
     X = np.empty((len(acs), 8))
     if len(X):  # an empty list does not broadcast into the (0, 2) columns
@@ -149,8 +149,8 @@ class CameraIntrinsics:
     skew: float = 0.0
 
     def __post_init__(self):
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise InvalidValue(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not (self.fx > 0.0 and self.fy > 0.0 and np.all(np.isfinite(self.K))):
+            raise InvalidValue(f"intrinsics must be finite with fx, fy > 0, got {self}")
 
     @property
     def K(self) -> Mat3:

@@ -1,8 +1,8 @@
 """Exception hierarchy for the affgeo package.
 
-Every raisable error derives from AffgeoError so callers can catch the
-package's failures with a single except clause. Numerical degeneracies that
-robust estimation should treat as data (near-zero Sampson denominators) are
+Every error the package raises derives from AffgeoError, so callers (the
+CLI's exit-code table too) catch its failures with one except clause. Numerical
+degeneracies that robust estimation should treat as data (near-zero Sampson denominators) are
 encoded as +inf sentinels, not exceptions; see the residuals module.
 """
 
@@ -11,9 +11,13 @@ class AffgeoError(Exception):
     """Base class for all affgeo errors."""
 
 
+class InvalidArgument(AffgeoError, ValueError):
+    """A parameter lies outside its documented range (threshold <= 0, seed < 0)."""
+
+
 class InvalidValue(AffgeoError, ValueError):
     """A value violates its type's invariant (zero 3x3 model, non-positive
-    focal length, R not a rotation)."""
+    focal length, R not a rotation, non-finite entries)."""
 
 
 # --- affine decomposition / synthesis ---

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FloatArray, as_mat2
-from .errors import EmptyInput, ZeroVector
+from .errors import EmptyInput, InvalidArgument, InvalidValue, ZeroVector
 from .solvers import Homography, RelativePose
 
 MMA_THRESHOLDS = np.arange(1, 11)  # pixels
@@ -26,9 +26,9 @@ class MmaCurve:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64).reshape(10)
         if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("MMA values must lie in [0, 1]")
+            raise InvalidValue("MMA values must lie in [0, 1]")
         if np.any(np.diff(v) < 0.0):
-            raise ValueError("MMA curve must be nondecreasing in the threshold")
+            raise InvalidValue("MMA curve must be nondecreasing in the threshold")
         object.__setattr__(self, "values", v)
 
 
@@ -41,9 +41,9 @@ class PoseError:
 
     def __post_init__(self):
         if not 0.0 <= self.rotation_error <= 180.0:
-            raise ValueError(f"rotation error {self.rotation_error} outside [0, 180]")
+            raise InvalidValue(f"rotation error {self.rotation_error} outside [0, 180]")
         if not 0.0 <= self.translation_error <= 90.0:
-            raise ValueError(f"translation error {self.translation_error} outside [0, 90]")
+            raise InvalidValue(f"translation error {self.translation_error} outside [0, 90]")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _match_errors(matches, H_gt) -> tuple[FloatArray, np.ndarray]:
 def mma_at_threshold(matches, H_gt, thr: float) -> float:
     """Fraction of matches whose warp error is within thr pixels (0 if empty)."""
     if thr <= 0.0:
-        raise ValueError(f"threshold must be positive, got {thr}")
+        raise InvalidArgument(f"threshold must be positive, got {thr}")
     m = np.asarray(matches, dtype=float).reshape(-1, 4)
     if m.shape[0] == 0:
         return 0.0
@@ -159,7 +159,7 @@ def pose_auc(errors, thresholds=(5.0, 10.0, 20.0)) -> list[float]:
     if errs.size == 0:
         raise EmptyInput("pose_auc needs at least one error value")
     if np.any(errs < 0.0) or np.any(np.isnan(errs)):
-        raise ValueError("pose errors must be >= 0")
+        raise InvalidValue("pose errors must be >= 0")
     order = np.sort(errs)
     recall = np.arange(1, errs.size + 1) / errs.size
     e = np.concatenate([[0.0], order])
@@ -167,7 +167,7 @@ def pose_auc(errors, thresholds=(5.0, 10.0, 20.0)) -> list[float]:
     out = []
     for tau in thresholds:
         if tau <= 0.0:
-            raise ValueError(f"AUC threshold must be positive, got {tau}")
+            raise InvalidArgument(f"AUC threshold must be positive, got {tau}")
         last = int(np.searchsorted(e, tau, side="right"))
         e_cut = np.concatenate([e[:last], [tau]])
         r_cut = np.concatenate([r[:last], [r[last - 1]]])

@@ -20,6 +20,7 @@ import numpy as np
 from .core import AffineCorrespondence, CameraIntrinsics, ac_array
 from .errors import (
     DegenerateConfiguration,
+    InvalidArgument,
     NoModelFound,
     TooFewConstraints,
     TooFewCorrespondences,
@@ -59,15 +60,15 @@ class RansacConfig:
 
     def __post_init__(self):
         if not self.threshold > 0.0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
+            raise InvalidArgument(f"threshold must be > 0, got {self.threshold}")
         if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
+            raise InvalidArgument(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise InvalidArgument("max_iterations must be >= 1")
         if not self.affine_weight >= 0.0:
-            raise ValueError(f"affine_weight must be >= 0, got {self.affine_weight}")
+            raise InvalidArgument(f"affine_weight must be >= 0, got {self.affine_weight}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class _LoRansac:
     def _support(self, model):
         d2, scores = self.residuals(model)
         mask = d2 <= self.thr2
-        return mask, int(np.sum(mask)), float(np.sum(np.minimum(scores, self.thr2)))
+        return mask, int(np.sum(mask)), float(np.sum(np.fmin(scores, self.thr2)))
 
     def offer(self, model) -> None:
         mask, count, total = self._support(model)

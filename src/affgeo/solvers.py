@@ -30,6 +30,7 @@ from .core import (
 from .errors import (
     CheiralityAmbiguity,
     DegenerateConfiguration,
+    InvalidArgument,
     InvalidValue,
     PointAtInfinity,
     TooFewConstraints,
@@ -101,7 +102,7 @@ def axis_angle_rotation(axis, angle: float) -> Mat3:
     a = np.asarray(axis, dtype=float).reshape(3)
     n = np.linalg.norm(a)
     if n == 0.0:
-        raise ValueError("rotation axis must be nonzero")
+        raise InvalidArgument("rotation axis must be nonzero")
     a = a / n
     K = skew3(a)
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
@@ -123,6 +124,8 @@ def hartley_transform(points: FloatArray) -> Mat3:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     centroid = pts.mean(axis=0)
     rms = math.sqrt(np.mean(np.sum((pts - centroid) ** 2, axis=1)))
+    if not math.isfinite(rms):  # coordinates near the largest double
+        raise DegenerateConfiguration(f"RMS radius of the points is {rms}")
     s = math.sqrt(2.0) / rms if rms > 1e-12 else 1.0
     return np.array(
         [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
@@ -134,9 +137,15 @@ def _solve_nullspace(rows: FloatArray) -> FloatArray:
 
     One SVD gives both the rank (with matrix_rank's tolerance) and the null
     vector. It is thin unless there are fewer rows than the 9 unknowns,
-    where only the full Vt holds the null vector.
+    where only the full Vt holds the null vector. Overflowed rows (the SVD can
+    hang on them) and an SVD that does not converge are degenerate.
     """
-    _, S, Vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < 9)
+    if not np.isfinite(rows).all():
+        raise DegenerateConfiguration("constraint rows overflow")
+    try:
+        _, S, Vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < 9)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateConfiguration(f"constraint matrix SVD: {exc}") from exc
     tol = S.max() * (max(rows.shape) * np.finfo(S.dtype).eps)
     rank = int(np.count_nonzero(S > tol))
     if rank < 8:
@@ -175,6 +184,8 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> Fu
     if len(X) < 3:
         raise TooFewCorrespondences(f"need >= 3 ACs, got {len(X)}")
     p1, p2 = X[:, 0:2], X[:, 2:4]
+    T1 = hartley_transform(p1)  # first: it refuses coordinates whose spread overflows
+    T2 = hartley_transform(p2)
     _assert_not_collinear(p1, "the first image")
     _assert_not_collinear(p2, "the second image")
     x1, y1, x2, y2, a11, a12, a21, a22 = X.T
@@ -193,8 +204,6 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> Fu
         axis=1,
     )
     # Change of variables F = T2^T Fn T1: vec_rm(F) = (T2^T kron T1^T) vec_rm(Fn).
-    T1 = hartley_transform(p1)
-    T2 = hartley_transform(p2)
     K = np.kron(T2.T, T1.T)
     epi = epi @ K
     row_m = _unit_rows(row_m @ K)
@@ -290,7 +299,7 @@ def essential_from_fundamental(
     Singular values are replaced by their mean (sigma, sigma, 0) and the
     result is scaled to Frobenius norm sqrt(2), i.e. singular values (1, 1, 0).
     """
-    E = K2.K.T @ as_mat3(F) @ K1.K
+    E = as_mat3(K2.K.T @ as_mat3(F) @ K1.K)  # refuses an overflowed E before the SVD
     U, S, Vt = np.linalg.svd(E)
     s = 0.5 * (S[0] + S[1])
     E = U @ np.diag([s, s, 0.0]) @ Vt
@@ -317,9 +326,9 @@ def triangulate_point(P1: FloatArray, P2: FloatArray, x1, x2) -> FloatArray:
 def _normalised_points(points, K: CameraIntrinsics) -> FloatArray:
     """Pixel points mapped through K^-1 and dehomogenised, shape (n, 2)."""
     pts = np.asarray(points, dtype=np.float64).reshape(len(points), 2)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points have non-finite components")
     xh = np.hstack([pts, np.ones((len(pts), 1))]) @ np.linalg.inv(K.K).T
+    if not np.all(np.isfinite(xh)):  # non-finite points, or K^-1 overflowed (fx near 0)
+        raise InvalidValue("points are not finite after K^-1")
     return xh[:, :2] / xh[:, 2:3]
 
 

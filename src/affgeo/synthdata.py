@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AffineCorrespondence, CameraIntrinsics, FloatArray, Mat3
-from .errors import DegenerateCamera, PointAtInfinity
+from .errors import DegenerateCamera, InvalidArgument, InvalidValue, PointAtInfinity
 from .residuals import FundamentalMatrix
 from .solvers import (
     Homography,
@@ -36,10 +36,11 @@ class NoiseSpec:
     outlier_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.point_sigma < 0.0 or self.affine_rel_sigma < 0.0:
-            raise ValueError("noise sigmas must be >= 0")
+        sigmas = (self.point_sigma, self.affine_rel_sigma)  # copysign: numpy refuses -0.0
+        if not all(math.isfinite(s) and math.copysign(1.0, s) > 0.0 for s in sigmas):
+            raise InvalidArgument(f"noise sigmas must be finite and >= +0.0, got {sigmas}")
         if not 0.0 <= self.outlier_fraction < 1.0:
-            raise ValueError("outlier_fraction must lie in [0, 1)")
+            raise InvalidArgument("outlier_fraction must lie in [0, 1)")
 
 
 def _default_intrinsics() -> CameraIntrinsics:
@@ -85,7 +86,9 @@ def generate_scene(seed: int, n_planes: int = 1, camera_spec: CameraSpec | None 
     """Seeded random scene; bit-identical for identical arguments."""
     spec = camera_spec if camera_spec is not None else CameraSpec()
     if n_planes < 1:
-        raise ValueError(f"n_planes must be >= 1, got {n_planes}")
+        raise InvalidArgument(f"n_planes must be >= 1, got {n_planes}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     lo, hi = spec.depth_range
     if lo <= 0.0 or hi <= 0.0 or hi < lo:
         raise DegenerateCamera(f"plane depth range {spec.depth_range} must be positive")
@@ -98,7 +101,7 @@ def generate_scene(seed: int, n_planes: int = 1, camera_spec: CameraSpec | None 
     else:
         R = np.asarray(spec.rotation, dtype=float).reshape(3, 3)
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-8:
-            raise ValueError("camera_spec.rotation is not a rotation matrix")
+            raise InvalidArgument("camera_spec.rotation is not a rotation matrix")
     if spec.translation is None:
         t = rng.normal(size=3)
     else:
@@ -172,7 +175,9 @@ def sample_acs(
     """
     noise = noise if noise is not None else NoiseSpec()
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     w, h = scene.image_size
     K1inv = np.linalg.inv(scene.K1.K)
@@ -183,7 +188,7 @@ def sample_acs(
     while len(base) < n:
         attempts += 1
         if attempts > 1000 * n:
-            raise RuntimeError("AC sampling stalled; scene has almost no covisible area")
+            raise DegenerateCamera("AC sampling stalled; scene has almost no covisible area")
         plane_idx = int(rng.integers(len(scene.planes)))
         p1 = rng.uniform((0.0, 0.0), (float(w), float(h)))
         normal, offset = scene.planes[plane_idx]
@@ -214,13 +219,11 @@ def sample_acs(
     acs = []
     for i, (p1, p2, A) in enumerate(base):
         if labels[i]:
-            acs.append(
-                AffineCorrespondence(
-                    p1=p1,
-                    p2=p2 + point_noise[i],
-                    A=A * (1.0 + affine_noise[i]),
-                )
-            )
+            try:  # sigmas near the largest double overflow
+                ac = AffineCorrespondence(p1, p2 + point_noise[i], A * (1.0 + affine_noise[i]))
+            except InvalidValue as exc:
+                raise InvalidArgument(f"noise sigmas overflow the sample: {exc}") from exc
+            acs.append(ac)
         else:
             acs.append(
                 AffineCorrespondence(

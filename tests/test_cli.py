@@ -145,6 +145,12 @@ def _error_lines(stderr: str) -> list[str]:
         ["synth", "--seed", "-1"],
         ["synth", "--outliers", "1"],
         ["synth", "--planes", "0"],
+        ["synth", "--point-sigma", "nan"],
+        ["synth", "--point-sigma", "-0.0"],
+        ["synth", "--affine-sigma", "1e308"],
+        ["eval-pose", "--thresholds", "0"],
+        ["eval-pose", "--thresholds", "-5"],
+        ["eval-pose", "--thresholds", "abc"],
     ],
     ids=" ".join,
 )
@@ -152,6 +158,11 @@ def test_invalid_option_value_exit_2(args, synth_dir, tmp_path, capsys):
     if args[0] == "estimate":
         args = args + [str(synth_dir / "acs.csv"), "--model", "fundamental",
                        "--out", str(tmp_path / "x")]
+    elif args[0] == "eval-pose":
+        for name in ("est", "gt"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "a.txt").write_bytes((synth_dir / "pose.txt").read_bytes())
+        args = args + [str(tmp_path / "est"), str(tmp_path / "gt")]
     else:
         args = args + ["--out-dir", str(tmp_path / "d")]
     assert main(args) == 2
@@ -178,13 +189,14 @@ def test_non_ascii_input_exit_2(command, bad, synth_dir, tmp_path, capsys):
     assert len(_error_lines(capsys.readouterr().err)) == 1
 
 
-@pytest.mark.parametrize("bad", ["zero F", "fx = 0", "R not a rotation"])
+@pytest.mark.parametrize("bad", ["zero F", "fx = 0", "cx = nan", "R not a rotation"])
 def test_invalid_value_exit_3(bad, synth_dir, tmp_path, capsys):
+    intrinsics = {"fx = 0": "0 500 320 240\n", "cx = nan": "600 600 nan 240\n"}
     if bad == "zero F":
         write_mat3(tmp_path / "F.txt", np.zeros((3, 3)))
         args = ["residuals", synth_dir / "acs.csv", tmp_path / "F.txt"]
-    elif bad == "fx = 0":
-        (tmp_path / "K.txt").write_text("0 500 320 240\n")
+    elif bad in intrinsics:
+        (tmp_path / "K.txt").write_text(intrinsics[bad])
         args = ["estimate", synth_dir / "acs.csv", "--model", "essential",
                 "--intrinsics", tmp_path / "K.txt", "--out", tmp_path / "x"]
     else:

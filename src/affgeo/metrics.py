@@ -72,7 +72,7 @@ def _match_errors(matches, H_gt) -> tuple[FloatArray, np.ndarray]:
 
 def mma_at_threshold(matches, H_gt, thr: float) -> float:
     """Fraction of matches whose warp error is within thr pixels (0 if empty)."""
-    if thr <= 0.0:
+    if not thr > 0.0:  # NaN-safe
         raise InvalidArgument(f"threshold must be positive, got {thr}")
     m = np.asarray(matches, dtype=float).reshape(-1, 4)
     if m.shape[0] == 0:
@@ -166,8 +166,8 @@ def pose_auc(errors, thresholds=(5.0, 10.0, 20.0)) -> list[float]:
     r = np.concatenate([[0.0], recall])
     out = []
     for tau in thresholds:
-        if tau <= 0.0:
-            raise InvalidArgument(f"AUC threshold must be positive, got {tau}")
+        if not 0.0 < tau < math.inf:  # NaN-safe
+            raise InvalidArgument(f"AUC threshold must be positive and finite, got {tau}")
         last = int(np.searchsorted(e, tau, side="right"))
         e_cut = np.concatenate([e[:last], [tau]])
         r_cut = np.concatenate([r[:last], [r[last - 1]]])

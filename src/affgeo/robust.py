@@ -4,7 +4,9 @@ Hypotheses are scored with the point Sampson distance plus a weighted sum of
 both affine Sampson components; the inlier test itself stays point-only so the
 pixel threshold keeps its meaning. Models are ranked by (inlier count desc,
 truncated score asc, hypothesis index asc), which makes the outcome a pure
-function of the inputs and the seed. Both estimators run the same loop
+function of the inputs and the seed. The affine terms only break ties
+between equal counts, so they are computed only for hypotheses whose count can
+tie or beat the best one, and for LO refits. Both estimators run the same loop
 (_LoRansac); each supplies only its minimal solve, residuals and LO refit.
 """
 
@@ -49,7 +51,9 @@ class RansacConfig:
     affine_weight scales the affine Sampson terms in a hypothesis' truncated
     total, which only breaks ties between hypotheses with equal inlier
     counts. It never enters the inlier mask or the count, which use the
-    point Sampson distance alone, and homographies ignore it."""
+    point Sampson distance alone, and homographies ignore it. The affine
+    terms are computed only for hypotheses that can tie or beat the best
+    count, and for LO refits."""
 
     threshold: float = 0.5
     confidence: float = 0.99
@@ -81,6 +85,11 @@ class RobustEstimate:
     score: float
 
 
+# Degenerate draws in a row after which a loop with no model yet stops: the
+# set is then most likely degenerate as a whole (one plane, one point repeated).
+DEGENERATE_DRAW_LIMIT = 500
+
+
 def adaptive_iteration_bound(
     inlier_ratio: float, confidence: float, sample_size: int, max_iterations: int
 ) -> int:
@@ -103,10 +112,12 @@ class _LoRansac:
     against all correspondences, ranks it by (inlier count desc, truncated
     total asc, iteration asc), runs up to 16 local-optimisation refits over
     the inlier set while they improve, and tightens the adaptive bound that
-    ends samples(). residuals(model) returns the squared distance the
-    threshold applies to and the per-correspondence scores whose truncated
-    sum is the total; refit(mask) solves from the inliers and may raise one
-    of the degenerate exceptions.
+    ends samples(). distance(model) returns the squared distance the
+    threshold applies to; scores(model, distance) returns the
+    per-correspondence scores whose truncated sum is the total, and is called
+    only when that total can matter. refit(mask) solves from the inliers and
+    may raise one of the degenerate exceptions; the estimator calls skip()
+    for a minimal sample whose solve raised.
 
     The minimal solve stays in the estimator's own body because the
     benchmark's tracer (bench/tracing.py) tells a minimal solve from an LO
@@ -115,35 +126,50 @@ class _LoRansac:
     """
 
     def __init__(self, cfg: RansacConfig, sample_size: int, population: int,
-                 residuals, refit, degenerate: tuple):
+                 distance, scores, refit, degenerate: tuple):
         if population < sample_size:
             raise TooFewCorrespondences(f"need >= {sample_size} ACs, got {population}")
         self.cfg = cfg
         self.sample_size = sample_size
         self.population = population
-        self.residuals = residuals
+        self.distance = distance
+        self.scores = scores
         self.refit = refit
         self.degenerate = degenerate
         self.thr2 = cfg.threshold * cfg.threshold
         self.bound = cfg.max_iterations
         self.iterations = 0
+        self.degenerate_run = 0  # draws in a row whose minimal solve raised, with no model
         self.best = None  # (key, model, mask)
 
     def samples(self):
-        """Index arrays of the minimal samples, drawn until the adaptive bound."""
+        """Index arrays of the minimal samples, drawn until the adaptive bound
+        or until DEGENERATE_DRAW_LIMIT draws in a row were degenerate."""
         rng = np.random.default_rng(self.cfg.seed)
-        while self.iterations < self.bound:
+        while self.iterations < self.bound and self.degenerate_run < DEGENERATE_DRAW_LIMIT:
             self.iterations += 1
             yield rng.choice(self.population, size=self.sample_size, replace=False)
 
-    def _support(self, model):
-        d2, scores = self.residuals(model)
+    def skip(self) -> None:
+        """Record that the current draw's minimal solve was degenerate."""
+        if self.best is None:
+            self.degenerate_run += 1
+
+    def _support(self, model, floor: int = 0):
+        """Inlier mask, count and truncated total; a count below floor cannot
+        rank, so its scores are not computed and its total is +inf."""
+        d2 = self.distance(model)
         mask = d2 <= self.thr2
-        return mask, int(np.sum(mask)), float(np.sum(np.fmin(scores, self.thr2)))
+        count = int(np.sum(mask))
+        if count < floor:
+            return mask, count, math.inf
+        return mask, count, float(np.sum(np.fmin(self.scores(model, d2), self.thr2)))
 
     def offer(self, model) -> None:
-        mask, count, total = self._support(model)
-        if count < self.sample_size:
+        self.degenerate_run = 0
+        floor = max(self.sample_size, -self.best[0][0]) if self.best else self.sample_size
+        mask, count, total = self._support(model, floor)
+        if count < floor:
             return
         if self.best is not None and (-count, total, self.iterations) >= self.best[0]:
             return
@@ -167,24 +193,24 @@ class _LoRansac:
 
     def result(self) -> RobustEstimate:
         if self.best is None:
-            raise NoModelFound(
-                f"no hypothesis reached {self.sample_size} inliers in {self.iterations} iterations"
-            )
+            cause = (f"the sampler stopped on {self.degenerate_run} consecutive degenerate draws"
+                     if self.degenerate_run >= DEGENERATE_DRAW_LIMIT
+                     else f"no hypothesis reached {self.sample_size} inliers")
+            raise NoModelFound(f"{cause} in {self.iterations} iterations")
         (_, total, _), model, mask = self.best
         return RobustEstimate(
             model=model, inlier_mask=mask, iterations_run=self.iterations, score=total
         )
 
 
-def _fundamental_scores(columns: np.ndarray, F, affine_weight: float):
-    """(point Sampson, combined score) per AC; columns is the (8, N)
-    transpose of an ac_array. Combined adds the weighted affine components
-    and is +inf-safe."""
-    sp = sampson_point_batch(*columns[:4], F)
+def _fundamental_scores(columns: np.ndarray, F, sp: np.ndarray, affine_weight: float):
+    """Combined score per AC: the point Sampson distance sp plus the weighted
+    affine components, +inf-safe; columns is the (8, N) transpose of an
+    ac_array."""
     if affine_weight > 0.0:
         sa1, sa2 = sampson_affine_batch(*columns, F)
-        return sp, sp + affine_weight * (sa1 + sa2)
-    return sp, sp
+        return sp + affine_weight * (sa1 + sa2)
+    return sp
 
 
 def ransac_fundamental(
@@ -195,7 +221,8 @@ def ransac_fundamental(
     columns = np.ascontiguousarray(X.T)  # strided column views score slower
     loop = _LoRansac(
         cfg, 3, len(X),
-        residuals=lambda F: _fundamental_scores(columns, F.matrix, cfg.affine_weight),
+        distance=lambda F: sampson_point_batch(*columns[:4], F.matrix),
+        scores=lambda F, sp: _fundamental_scores(columns, F.matrix, sp, cfg.affine_weight),
         refit=lambda mask: fundamental_from_acs(X[mask]),
         degenerate=(DegenerateConfiguration, TooFewCorrespondences),
     )
@@ -203,6 +230,7 @@ def ransac_fundamental(
         try:
             model = fundamental_from_acs(X[idx])
         except loop.degenerate:
+            loop.skip()
             continue
         loop.offer(model)
     return loop.result()
@@ -252,13 +280,10 @@ def ransac_homography(
     pts1h = np.hstack([np.concatenate([X[:, 0:2], extra[:, 0:2]]), ones])
     pts2h = np.hstack([np.concatenate([X[:, 2:4], extra[:, 2:4]]), ones])
 
-    def residuals(H: Homography):
-        ste2 = _homography_residuals(H, pts1h, pts2h)
-        return ste2, ste2
-
     loop = _LoRansac(
         cfg, 2, n_acs,
-        residuals=residuals,
+        distance=lambda H: _homography_residuals(H, pts1h, pts2h),
+        scores=lambda H, ste2: ste2,
         refit=lambda mask: homography_from_acs(
             X[mask[:n_acs]], list(compress(extra_points, mask[n_acs:]))
         ),
@@ -268,6 +293,7 @@ def ransac_homography(
         try:
             model = homography_from_acs(X[idx])
         except loop.degenerate:
+            loop.skip()
             continue
         loop.offer(model)
     return loop.result()

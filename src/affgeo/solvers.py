@@ -123,7 +123,12 @@ def hartley_transform(points: FloatArray) -> Mat3:
     """Similarity moving the centroid to the origin and the RMS radius to sqrt(2)."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     centroid = pts.mean(axis=0)
-    rms = math.sqrt(np.mean(np.sum((pts - centroid) ** 2, axis=1)))
+    return _hartley(centroid, np.sum((pts - centroid) ** 2, axis=1))
+
+
+def _hartley(centroid: FloatArray, squared_radii: FloatArray) -> Mat3:
+    """hartley_transform from the centroid and each point's squared distance to it."""
+    rms = math.sqrt(np.mean(squared_radii))
     if not math.isfinite(rms):  # coordinates near the largest double
         raise DegenerateConfiguration(f"RMS radius of the points is {rms}")
     s = math.sqrt(2.0) / rms if rms > 1e-12 else 1.0
@@ -158,14 +163,6 @@ def _unit_rows(rows: FloatArray) -> FloatArray:
     return rows / np.maximum(norms, 1e-300)
 
 
-def _assert_not_collinear(points: FloatArray, which: str) -> None:
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    centred = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centred, compute_uv=False)
-    if sv[-1] <= 1e-9 * max(sv[0], 1.0):
-        raise DegenerateConfiguration(f"points are (near-)collinear in {which}")
-
-
 # --- fundamental matrix from ACs ----------------------------------------------
 
 def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> FundamentalMatrix:
@@ -181,40 +178,43 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> Fu
     conditions the solve without altering the row space.
     """
     X = ac_array(acs)
-    if len(X) < 3:
-        raise TooFewCorrespondences(f"need >= 3 ACs, got {len(X)}")
-    p1, p2 = X[:, 0:2], X[:, 2:4]
-    T1 = hartley_transform(p1)  # first: it refuses coordinates whose spread overflows
-    T2 = hartley_transform(p2)
-    _assert_not_collinear(p1, "the first image")
-    _assert_not_collinear(p2, "the second image")
-    x1, y1, x2, y2, a11, a12, a21, a22 = X.T
-    one = np.ones_like(x1)
-    zero = np.zeros_like(x1)
-    # Unknown ordering: (f11, f12, f13, f21, f22, f23, f31, f32, f33).
-    epi = np.stack(
-        [x1 * x2, y1 * x2, x2, x1 * y2, y1 * y2, y2, x1, y1, one], axis=1
-    )
-    row_m = np.stack(
-        [a11 * x1 + x2, a11 * y1, a11, a21 * x1 + y2, a21 * y1, a21, one, zero, zero],
-        axis=1,
-    )
-    row_n = np.stack(
-        [a12 * x1, a12 * y1 + x2, a12, a22 * x1, a22 * y1 + y2, a22, zero, one, zero],
-        axis=1,
-    )
+    n = len(X)
+    if n < 3:
+        raise TooFewCorrespondences(f"need >= 3 ACs, got {n}")
+    # Both images' points centred in one pass, with hartley_transform's
+    # reductions; the RMS overflow checks come before the collinearity SVDs.
+    centroids = X[:, 0:4].mean(axis=0)
+    centred = (X[:, 0:4] - centroids).reshape(n, 2, 2)
+    T1 = _hartley(centroids[0:2], np.sum(centred[:, 0] ** 2, axis=1))
+    T2 = _hartley(centroids[2:4], np.sum(centred[:, 1] ** 2, axis=1))
+    sv = np.linalg.svd(centred.transpose(1, 0, 2), compute_uv=False)
+    for (largest, smallest), which in zip(sv, ("first", "second")):
+        if smallest <= 1e-9 * max(largest, 1.0):
+            raise DegenerateConfiguration(f"points are (near-)collinear in the {which} image")
+    # rows[r, i, j, k] multiplies F[j, k] in row r of AC i. With p1h = (x1, y1, 1),
+    # the epipolar row is outer((x2, y2, 1), p1h); row m is outer((a11, a21, 0),
+    # p1h) plus (x2, y2, 1) in column 0, and row n is outer((a12, a22, 0), p1h)
+    # plus (x2, y2, 1) in column 1.
+    rows = np.empty((3, n, 3, 3))
+    p1 = X[:, 0:2]
+    u = np.stack([X[:, 2:4], X[:, 4:8:2], X[:, 5:8:2]])  # (x2, y2), (a11, a21), (a12, a22)
+    rows[:, :, 0:2, 0:2] = u[..., None] * p1[:, None, :]
+    rows[:, :, 0:2, 2] = u
+    rows[0, :, 2, 0:2] = p1
+    rows[0, :, 2, 2] = 1.0
+    rows[1:, :, 2] = [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]
+    rows[1, :, 0:2, 0] += X[:, 2:4]
+    rows[2, :, 0:2, 1] += X[:, 2:4]
     # Change of variables F = T2^T Fn T1: vec_rm(F) = (T2^T kron T1^T) vec_rm(Fn).
-    K = np.kron(T2.T, T1.T)
-    epi = epi @ K
-    row_m = _unit_rows(row_m @ K)
-    row_n = _unit_rows(row_n @ K)
-    rows = np.concatenate([epi, row_m, row_n], axis=0)
-    Fn = _solve_nullspace(rows)
+    K = (T2.T[:, None, :, None] * T1.T[None, :, None, :]).reshape(9, 9)
+    rows = rows.reshape(3, n, 9) @ K
+    rows[1:] = _unit_rows(rows[1:])
+    Fn = _solve_nullspace(rows.reshape(3 * n, 9))
     # Rank-2 enforcement in the normalised frame, then undo the similarity.
     U, S, Vt = np.linalg.svd(Fn)
     Fn = U @ np.diag([S[0], S[1], 0.0]) @ Vt
     F = T2.T @ Fn @ T1
-    return FundamentalMatrix(F).normalized()
+    return FundamentalMatrix(_largest_entry_sign_fix(F / np.linalg.norm(F)))
 
 
 # --- homography from ACs -------------------------------------------------------

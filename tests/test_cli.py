@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +152,8 @@ def _error_lines(stderr: str) -> list[str]:
         ["eval-pose", "--thresholds", "0"],
         ["eval-pose", "--thresholds", "-5"],
         ["eval-pose", "--thresholds", "abc"],
+        ["eval-pose", "--thresholds", "nan"],
+        ["eval-pose", "--thresholds", "5,inf"],
     ],
     ids=" ".join,
 )
@@ -255,6 +258,22 @@ class TestEstimate:
         code, _, _ = run_cli(["estimate", ac_file, "--model", "homography",
                               "--max-iterations", "30", "--out", tmp_path / "x"])
         assert code == 4
+
+    @pytest.mark.parametrize("model", ["fundamental", "essential"])
+    def test_single_plane_stops_on_degenerate_draws(self, tmp_path, capsys, model):
+        # every 3-AC sample of a noise-free single-plane set is degenerate;
+        # the sampler gives up long before --max-iterations (10 000)
+        out = tmp_path / "d"
+        assert main(["synth", "--n", "30", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main(["estimate", str(out / "acs.csv"), "--model", model,
+                     "--intrinsics", str(out / "K1.txt"), "--out", str(tmp_path / "x")])
+        elapsed = time.perf_counter() - start
+        errors = _error_lines(capsys.readouterr().err)
+        assert code == 4
+        assert len(errors) == 1 and "consecutive degenerate draws" in errors[0]
+        assert elapsed < 0.5
 
     def test_byte_identical_per_seed_and_threads(self, synth_dir, tmp_path):
         prefix = tmp_path / "run"

@@ -5,9 +5,12 @@ CLI turns whatever input bytes it reads into a documented exit code with one
 import ast
 import contextlib
 import io
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -46,6 +49,8 @@ _ACS = ac_array(sample_acs(_SCENE, 30, NoiseSpec(), seed=2)[0])
 AC_ROWS = [[fmt(v) for v in row] for row in _ACS]
 F_TOKENS = [fmt(v) for v in _SCENE.F_gt.matrix.ravel()]
 K_TOKENS = ["600", "600", "320", "240"]
+H_TOKENS = [fmt(v) for v in _SCENE.homographies[0].matrix.ravel()]
+POSE_TOKENS = [fmt(v) for v in np.concatenate([_SCENE.pose.R.ravel(), _SCENE.pose.t])]
 EXTREMES = ["1e308", "-1e308", "1e200", "-1e200", "1e-320", "0", "-0", "nan", "inf", "-inf"]
 
 
@@ -79,6 +84,20 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
 
 
+def _run_main(argv) -> tuple[int, str]:
+    """cli.main in-process; asserts the contract and returns (code, stdout).
+    gt-affine's documented exit 3 for skipped points at infinity carries a
+    `warning:` line in place of the `error:` line."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(a) for a in argv])
+    assert code in {0, 2, 3, 4, 5}
+    prefixes = ("error:", "warning: skipped") if argv[0] == "gt-affine" else ("error:",)
+    diagnostics = [line for line in stderr.getvalue().splitlines() if line.startswith(prefixes)]
+    assert len(diagnostics) == (1 if code else 0), stderr.getvalue()
+    return code, stdout.getvalue()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in extreme inputs
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(case=cli_case())
@@ -93,9 +112,82 @@ def test_cli_exits_only_with_documented_codes(case, workdir):
     else:
         argv = ["estimate", ac_file, "--model", command, "--max-iterations", "30",
                 "--intrinsics", k_file, "--out", workdir / "run"]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([str(a) for a in argv])
-    assert code in {0, 2, 3, 4, 5}
-    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
-    assert len(errors) == (1 if code else 0), stderr.getvalue()
+    _run_main(argv)
+
+
+# --- the evaluation and generation commands ----------------------------------------
+
+THRESHOLDS = ["5,10,20", "nan", "5,nan", "inf", "-inf", "0", "-0", "1e308", "1e-320",
+              "abc", "", ","]
+# Integer options keep small values: a valid huge --n is a legitimately long run.
+SYNTH_OPTIONS = {
+    "--n": ["0", "1", "3", "30", "-1"],
+    "--planes": ["0", "1", "3", "-1"],
+    "--seed": ["0", "1", "-1"],
+    "--point-sigma": EXTREMES + ["0.5"],
+    "--affine-sigma": EXTREMES + ["0.05"],
+    "--outliers": EXTREMES + ["0.3", "0.999", "1"],
+}
+
+
+def _table(rows) -> str:
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+@st.composite
+def other_case(draw):
+    """A command and the contents of the files and options it reads."""
+    command = draw(st.sampled_from(["eval-pose", "eval-mma", "synth", "gt-affine"]))
+    if command == "synth":  # up to three options set, the others at their defaults
+        keys = draw(st.lists(st.sampled_from(sorted(SYNTH_OPTIONS)), max_size=3, unique=True))
+        return command, {k: draw(st.sampled_from(SYNTH_OPTIONS[k])) for k in keys}
+    if command == "eval-pose":
+        n_pairs = draw(st.integers(1, 2))
+        est = [draw(_mutated([POSE_TOKENS], 1))[0] for _ in range(n_pairs)]
+        gt = [draw(_mutated([POSE_TOKENS], 1))[0] for _ in range(n_pairs)]
+        return command, {"est": est, "gt": gt, "thresholds": draw(st.sampled_from(THRESHOLDS))}
+    n_rows = draw(st.sampled_from([0, 1, 3, 8]))
+    width = 4 if command == "eval-mma" else 2
+    rows = draw(_mutated([r[:width] for r in AC_ROWS[:n_rows]], 4)) if n_rows else []
+    return command, {"rows": rows, "h": draw(_mutated([H_TOKENS], 3))[0],
+                     "out": draw(st.booleans())}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in extreme inputs
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=other_case())
+def test_other_commands_exit_only_with_documented_codes(case, workdir):
+    """eval-pose, eval-mma, synth and gt-affine under extreme file contents
+    and option values. A run that exits 0 prints no nan: a threshold or an
+    input that makes a metric undefined is an error, not a result."""
+    command, spec = case
+    run = workdir / "other"
+    shutil.rmtree(run, ignore_errors=True)
+    run.mkdir()
+    if command == "synth":
+        # key=value, so that argparse takes "-1e308" as a value, not an option
+        argv = ["synth", "--out-dir", run / "d", *[f"{k}={v}" for k, v in spec.items()]]
+    elif command == "eval-pose":
+        for name in ("est", "gt"):
+            (run / name).mkdir()
+            for i, tokens in enumerate(spec[name]):
+                (run / name / f"p{i}.txt").write_text(" ".join(tokens) + "\n")
+        argv = ["eval-pose", run / "est", run / "gt", f"--thresholds={spec['thresholds']}",
+                "--csv", run / "pose.csv"]
+    else:
+        header = "x1,y1,x2,y2" if command == "eval-mma" else "x,y"
+        h_text = " ".join(spec["h"]) + "\n"
+        if command == "eval-mma":
+            for name in ("matches", "gt"):
+                (run / name).mkdir()
+            (run / "matches" / "p.csv").write_text(_table([[header]] + spec["rows"]))
+            (run / "gt" / "p.txt").write_text(h_text)
+            argv = ["eval-mma", run / "matches", run / "gt", "--csv", run / "mma.csv"]
+        else:
+            (run / "points.csv").write_text(_table([[header]] + spec["rows"]))
+            (run / "H.txt").write_text(h_text)
+            argv = ["gt-affine", run / "H.txt", run / "points.csv"]
+            argv += ["--out", run / "acs.csv"] if spec["out"] else []
+    code, stdout = _run_main(argv)
+    if code == 0:
+        assert "nan" not in re.split(r"[\s,=]+", stdout), stdout

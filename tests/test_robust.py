@@ -134,6 +134,75 @@ class TestRansacFundamental:
         assert adaptive_iteration_bound(1e-9, 0.99, 3, 500) == 500
 
 
+class TestLazyTieBreak:
+    """The affine terms only rank hypotheses of equal inlier count, so the
+    loop computes a hypothesis' per-AC scores only when its count can tie or
+    beat the best one."""
+
+    # (squared point distance, per-AC score) of 8 correspondences; the
+    # threshold is 0.5 px, so d2 <= 0.25 is an inlier and each score is
+    # truncated at 0.25 in the total.
+    HYPOTHESES = [
+        ([0.0] * 5 + [1.0] * 3, [0.125] * 5 + [1.0] * 3),  # 5 inliers, total 1.375
+        ([0.0] * 5 + [1.0] * 3, [0.0625] * 5 + [1.0] * 3),  # 5 inliers, total 1.0625
+        ([0.0] * 5 + [1.0] * 3, [0.0625] * 5 + [1.0] * 3),  # equal total, later: loses
+        ([0.0] * 4 + [1.0] * 4, [0.0] * 8),  # 4 inliers: below the best count
+        ([1.0] * 8, [0.0] * 8),  # no inliers: below the sample size
+    ]
+
+    def test_lower_total_wins_a_tie_and_an_equal_total_loses(self):
+        scored = []
+
+        def scores(i, d2):
+            scored.append(i)
+            return np.array(self.HYPOTHESES[i][1])
+
+        loop = robust._LoRansac(
+            RansacConfig(seed=0, lo_enabled=False, max_iterations=len(self.HYPOTHESES)),
+            3, 8,
+            distance=lambda i: np.array(self.HYPOTHESES[i][0]),
+            scores=scores,
+            refit=None,
+            degenerate=(),
+        )
+        for i, _ in enumerate(loop.samples()):
+            loop.offer(i)
+        est = loop.result()
+        assert est.model == 1
+        assert est.score == 1.0625
+        assert est.inlier_mask.tolist() == [True] * 5 + [False] * 3
+        assert est.iterations_run == len(self.HYPOTHESES)
+        assert scored == [0, 1, 2]
+
+    def test_same_estimate_as_the_eager_rule_with_fewer_affine_terms(self, monkeypatch):
+        counts = {"sampson_point_batch": 0, "sampson_affine_batch": 0}
+
+        def spy(name):
+            fn = getattr(robust, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        noise = NoiseSpec(point_sigma=0.5, outlier_fraction=0.4)
+        scene = generate_scene(seed=21, n_planes=3)
+        acs, _ = sample_acs(scene, 200, noise, seed=22)
+        for name in counts:
+            monkeypatch.setattr(robust, name, spy(name))
+        lazy = ransac_fundamental(acs, RansacConfig(seed=23))
+        assert 0 < counts["sampson_affine_batch"] < counts["sampson_point_batch"]
+
+        support = robust._LoRansac._support
+        monkeypatch.setattr(robust._LoRansac, "_support",
+                            lambda self, model, floor=0: support(self, model))
+        eager = ransac_fundamental(acs, RansacConfig(seed=23))
+        assert lazy.model.matrix.tobytes() == eager.model.matrix.tobytes()
+        assert lazy.inlier_mask.tobytes() == eager.inlier_mask.tobytes()
+        assert (lazy.iterations_run, lazy.score) == (eager.iterations_run, eager.score)
+
+
 class TestRansacPose:
     def test_noise_free_scene(self, scene):
         acs, _ = sample_acs(scene, 60, seed=4)

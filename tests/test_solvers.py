@@ -32,6 +32,7 @@ from affgeo.errors import (
 )
 from affgeo import generate_scene, solvers
 from affgeo.core import homogenize
+from affgeo.residuals import FundamentalMatrix
 from affgeo.solvers import (
     RelativePose,
     _positive_depth_count,
@@ -93,6 +94,47 @@ def _loop_homography_rows(acs, extra_points):
     for p, q in extra_points:
         blocks.append(dlt(p[0], p[1], q[0], q[1]) @ K)
     return np.concatenate(blocks, axis=0)
+
+
+def _reference_fundamental(X):
+    """Reference: fundamental_from_acs as first written, with one Hartley
+    transform and one collinearity SVD per image, np.kron and three stacks."""
+    if len(X) < 3:
+        raise TooFewCorrespondences(f"need >= 3 ACs, got {len(X)}")
+    p1, p2 = X[:, 0:2], X[:, 2:4]
+    T1 = hartley_transform(p1)
+    T2 = hartley_transform(p2)
+    for pts, which in ((p1, "the first image"), (p2, "the second image")):
+        sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+        if sv[-1] <= 1e-9 * max(sv[0], 1.0):
+            raise DegenerateConfiguration(f"points are (near-)collinear in {which}")
+    x1, y1, x2, y2, a11, a12, a21, a22 = X.T
+    one = np.ones_like(x1)
+    zero = np.zeros_like(x1)
+    epi = np.stack([x1 * x2, y1 * x2, x2, x1 * y2, y1 * y2, y2, x1, y1, one], axis=1)
+    row_m = np.stack(
+        [a11 * x1 + x2, a11 * y1, a11, a21 * x1 + y2, a21 * y1, a21, one, zero, zero], axis=1
+    )
+    row_n = np.stack(
+        [a12 * x1, a12 * y1 + x2, a12, a22 * x1, a22 * y1 + y2, a22, zero, one, zero], axis=1
+    )
+    K = np.kron(T2.T, T1.T)
+
+    def unit(rows):
+        return rows / np.maximum(np.linalg.norm(rows, axis=-1, keepdims=True), 1e-300)
+
+    Fn = solvers._solve_nullspace(np.concatenate([epi @ K, unit(row_m @ K), unit(row_n @ K)]))
+    U, S, Vt = np.linalg.svd(Fn)
+    Fn = U @ np.diag([S[0], S[1], 0.0]) @ Vt
+    return FundamentalMatrix(T2.T @ Fn @ T1).normalized()
+
+
+def _solve_outcome(solve, X):
+    """The model's bytes, or the class and message of what the solve raised."""
+    try:
+        return solve(X).matrix.tobytes()
+    except Exception as exc:  # the class and message are the outcome
+        return type(exc), str(exc)
 
 
 def _loop_decompose(E, pairs, K1, K2):
@@ -212,6 +254,48 @@ class TestFundamentalFromAcs:
                     fundamental_from_acs(ac_array(acs))
                 continue
             assert np.array_equal(fundamental_from_acs(ac_array(acs)).matrix, F.matrix)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 60, 200])
+    def test_matches_reference_bit_for_bit(self, scene, n):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        X = ac_array(sample_acs(scene, 200, noise, seed=n)[0])
+        rng = np.random.default_rng(n)
+        models = 0
+        for _ in range(25):
+            sample = X[rng.choice(len(X), size=n, replace=False)]
+            outcome = _solve_outcome(fundamental_from_acs, sample)
+            assert outcome == _solve_outcome(_reference_fundamental, sample)
+            models += isinstance(outcome, bytes)
+        assert models >= 20
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the huge inputs
+    @pytest.mark.parametrize(
+        "case",
+        ["too_few", "collinear_first", "collinear_second", "shared_point", "single_plane",
+         "rms_overflow_first", "rms_overflow_second", "rows_overflow"],
+    )
+    def test_failures_match_reference(self, scene, clean_acs, case):
+        X = ac_array(clean_acs[0][:6])
+        if case == "too_few":
+            X = X[:2]
+        elif case == "collinear_first":
+            X[:, 1] = 240.0
+        elif case == "collinear_second":
+            X[:, 2] = 3.0 * X[:, 3] - 7.0
+        elif case == "shared_point":
+            X[:, 0:2] = X[0, 0:2]
+        elif case == "single_plane":
+            X = ac_array([ac_on_plane(scene, 0, p) for p in [(150.0, 120.0), (480.0, 150.0),
+                                                             (320.0, 360.0)]])
+        elif case == "rms_overflow_first":
+            X[:, 0] *= 1e305
+        elif case == "rms_overflow_second":
+            X[:, 3] *= 1e305
+        else:  # a finite RMS radius, but the epipolar products overflow
+            X[:, 0:4] = 1e155 + 1e141 * X[:, 0:4]
+        outcome = _solve_outcome(fundamental_from_acs, X)
+        assert not isinstance(outcome, bytes)
+        assert outcome == _solve_outcome(_reference_fundamental, X)
 
     def test_returned_model_fits_clean_acs(self, clean_acs):
         acs, _ = clean_acs

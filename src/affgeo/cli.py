@@ -24,7 +24,6 @@ from .errors import (
     InvalidArgument,
     NoModelFound,
     PointAtInfinity,
-    TooFewConstraints,
     TooFewCorrespondences,
 )
 from .fileio import (
@@ -76,7 +75,7 @@ RESIDUAL_COLUMNS = "index,e_pc,sd_p,m0,n0,sd_a1,sd_a2"
 EXIT_CODES = {
     InvalidArgument: 2, FileFormatError: 2, OSError: 2, UnicodeDecodeError: 2,
     NoModelFound: 4, CheiralityAmbiguity: 4,
-    TooFewCorrespondences: 5, TooFewConstraints: 5,
+    TooFewCorrespondences: 5,
     AffgeoError: 3,
 }
 

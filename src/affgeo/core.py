@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .errors import InvalidDecomposition, InvalidValue, NonPositiveDeterminant, NonPositiveScale
+from .errors import InvalidArgument, InvalidValue
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -167,13 +167,13 @@ def decompose_affine(A) -> AffineDecomposition:
     """Split a 2x2 affinity into scale, rotation angle and residual shape.
 
     Returns (s, alpha, A'') with s = sqrt(det A) and I + A'' the symmetric
-    positive-definite polar factor of A/s. Raises NonPositiveDeterminant for
+    positive-definite polar factor of A/s. Raises InvalidValue for
     orientation-reversing or singular input.
     """
     M = as_mat2(A)
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     if det <= 0.0:
-        raise NonPositiveDeterminant(f"det(A) = {det} must be > 0 for decomposition")
+        raise InvalidValue(f"det(A) = {det} must be > 0 for decomposition")
     s = math.sqrt(det)
     B = M / s  # det(B) = 1
     # Closed-form 2x2 polar factor: the rotation angle follows from the
@@ -191,15 +191,15 @@ def decompose_affine(A) -> AffineDecomposition:
 def synthesize_affine(d: AffineDecomposition) -> Mat2:
     """Rebuild the affinity s * R(alpha) * (I + A'') from its decomposition.
 
-    Raises InvalidDecomposition when the residual-shape factor does not have
+    Raises InvalidValue when the residual-shape factor does not have
     unit determinant (beyond 1e-8) or the scale is not positive.
     """
     if not d.scale_ratio > 0.0:
-        raise InvalidDecomposition(f"scale_ratio = {d.scale_ratio} must be > 0")
+        raise InvalidValue(f"scale_ratio = {d.scale_ratio} must be > 0")
     shape = np.eye(2) + d.residual_shape
     det = shape[0, 0] * shape[1, 1] - shape[0, 1] * shape[1, 0]
     if abs(det - 1.0) > 1e-8:
-        raise InvalidDecomposition(f"det(I + A'') = {det} deviates from 1 beyond 1e-8")
+        raise InvalidValue(f"det(I + A'') = {det} deviates from 1 beyond 1e-8")
     return d.scale_ratio * rotation2(d.orientation_delta) @ shape
 
 
@@ -208,5 +208,5 @@ def relative_frame(
 ) -> tuple[float, float]:
     """Relative orientation and scale of a patch pair: (wrap(oB - oA), sB / sA)."""
     if not (scale_a > 0.0 and scale_b > 0.0):
-        raise NonPositiveScale(f"scales must be > 0, got {scale_a}, {scale_b}")
+        raise InvalidArgument(f"scales must be > 0, got {scale_a}, {scale_b}")
     return wrap_angle(orient_b - orient_a), scale_b / scale_a

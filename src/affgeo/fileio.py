@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import AffineCorrespondence, CameraIntrinsics, Mat3, ac_array
-from .errors import DimensionMismatch, FileFormatError
+from .errors import FileFormatError, InvalidValue
 from .solvers import RelativePose
 
 AC_HEADER = "x1,y1,x2,y2,a11,a12,a21,a22"
@@ -125,7 +125,7 @@ def read_mat3(path) -> Mat3:
     """9 whitespace-separated reals, row-major; 1- or 3-line layouts both parse."""
     values = _numeric_tokens(path, "matrix")
     if len(values) != 9:
-        raise DimensionMismatch(f"matrix file {path} holds {len(values)} values, expected 9")
+        raise InvalidValue(f"matrix file {path} holds {len(values)} values, expected 9")
     return np.array(values, dtype=float).reshape(3, 3)
 
 
@@ -140,7 +140,7 @@ def read_pose(path) -> RelativePose:
     """Line 1: rotation as 9 row-major reals; line 2: unit translation, 3 reals."""
     values = _numeric_tokens(path, "pose")
     if len(values) != 12:
-        raise DimensionMismatch(f"pose file {path} holds {len(values)} values, expected 12")
+        raise InvalidValue(f"pose file {path} holds {len(values)} values, expected 12")
     return RelativePose(R=np.array(values[:9]).reshape(3, 3), t=np.array(values[9:]))
 
 
@@ -154,7 +154,7 @@ def read_intrinsics(path) -> CameraIntrinsics:
     """One line: fx fy cx cy [skew]."""
     values = _numeric_tokens(path, "intrinsics")
     if len(values) not in (4, 5):
-        raise DimensionMismatch(
+        raise InvalidValue(
             f"intrinsics file {path} holds {len(values)} values, expected 4 or 5"
         )
     skew = values[4] if len(values) == 5 else 0.0
@@ -193,18 +193,17 @@ def _render_value(v) -> str:
 
 
 def _parse_value(s: str):
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
+    """The bool, int or float that _render_value renders as s; any other
+    token (1e1, 007) stays a string, so a report parses back losslessly."""
+    if s in ("true", "false"):
+        return s == "true"
+    for parse in (int, float):
+        try:
+            value = parse(s)
+        except ValueError:
+            continue
+        return value if _render_value(value) == s else s
+    return s
 
 
 @dataclass
@@ -235,7 +234,7 @@ def render_report(report: RunReport) -> str:
 def parse_report(text: str) -> RunReport:
     report = RunReport(command="")
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = raw.lstrip()  # not rstrip: a value may be empty or end in spaces
         if not line or line.startswith("#"):
             continue
         if " = " not in line:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FloatArray, as_mat2
-from .errors import EmptyInput, InvalidArgument, InvalidValue, ZeroVector
+from .errors import InvalidArgument, InvalidValue
 from .solvers import Homography, RelativePose
 
 MMA_THRESHOLDS = np.arange(1, 11)  # pixels
@@ -112,7 +112,7 @@ def evaluate_matches(pairs) -> MatchEvalReport:
     """Per-pair-then-mean MMA aggregation over (matches, H_gt) pairs."""
     pairs = list(pairs)
     if not pairs:
-        raise EmptyInput("no image pairs to evaluate")
+        raise InvalidArgument("no image pairs to evaluate")
     curves = [mma_curve(m, H).values for m, H in pairs]
     mean_curve = MmaCurve(np.mean(curves, axis=0))
     n_matches = sum(np.asarray(m, dtype=float).reshape(-1, 4).shape[0] for m, _ in pairs)
@@ -130,7 +130,7 @@ def affine_similarity(A_est, A_gt) -> tuple[float, float]:
     b = as_mat2(A_gt).ravel()
     dist = float(np.linalg.norm(a - b))
     if np.max(np.abs(a)) <= 1e-300 or np.max(np.abs(b)) <= 1e-300:
-        raise ZeroVector("cosine similarity undefined for an all-zero matrix")
+        raise InvalidValue("cosine similarity undefined for an all-zero matrix")
     # prescale by the largest entry so the squared norms cannot under/overflow,
     # then divide by sqrt(aa * bb): exact 1.0 for (scaled) identical matrices
     a = a / np.max(np.abs(a))
@@ -157,7 +157,7 @@ def pose_auc(errors, thresholds=(5.0, 10.0, 20.0)) -> list[float]:
     """
     errs = np.asarray(list(errors), dtype=float)
     if errs.size == 0:
-        raise EmptyInput("pose_auc needs at least one error value")
+        raise InvalidArgument("pose_auc needs at least one error value")
     if np.any(errs < 0.0) or np.any(np.isnan(errs)):
         raise InvalidValue("pose errors must be >= 0")
     order = np.sort(errs)
@@ -171,7 +171,11 @@ def pose_auc(errors, thresholds=(5.0, 10.0, 20.0)) -> list[float]:
         last = int(np.searchsorted(e, tau, side="right"))
         e_cut = np.concatenate([e[:last], [tau]])
         r_cut = np.concatenate([r[:last], [r[last - 1]]])
-        out.append(float(_trapezoid(r_cut, x=e_cut) / tau))
+        with np.errstate(over="ignore"):  # the trapezoid overflows near the largest double
+            auc = float(_trapezoid(r_cut, x=e_cut) / tau)
+        if not math.isfinite(auc):
+            raise InvalidArgument(f"AUC threshold {tau} is too large: the area overflows")
+        out.append(auc)
     return out
 
 
@@ -179,7 +183,7 @@ def rmse(values) -> float:
     """Root mean square of the values."""
     v = np.asarray(list(values), dtype=float)
     if v.size == 0:
-        raise EmptyInput("rmse of an empty list")
+        raise InvalidArgument("rmse of an empty list")
     return float(np.sqrt(np.mean(v * v)))
 
 
@@ -187,5 +191,5 @@ def median(values) -> float:
     """Median of the values (companion aggregator to rmse)."""
     v = np.asarray(list(values), dtype=float)
     if v.size == 0:
-        raise EmptyInput("median of an empty list")
+        raise InvalidArgument("median of an empty list")
     return float(np.median(v))

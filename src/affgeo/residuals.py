@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .core import AffineCorrespondence, FloatArray, Mat3, ac_array, as_mat3
-from .errors import SingularNormalMatrix
+from .errors import DegenerateConfiguration
 
 # Denominators at or below this are treated as degenerate and the Sampson
 # value becomes +inf, so robust loops can discard the match without branching.
@@ -172,5 +172,5 @@ def generic_sampson(
         J[:, i] = (fp - fm) / (2.0 * step)
     JJt = J @ J.T
     if np.linalg.cond(JJt) > 1e12:
-        raise SingularNormalMatrix(f"cond(J J^T) = {np.linalg.cond(JJt):.3e} exceeds 1e12")
+        raise DegenerateConfiguration(f"cond(J J^T) = {np.linalg.cond(JJt):.3e} exceeds 1e12")
     return float(eps @ np.linalg.solve(JJt, eps))

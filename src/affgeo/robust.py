@@ -24,7 +24,6 @@ from .errors import (
     DegenerateConfiguration,
     InvalidArgument,
     NoModelFound,
-    TooFewConstraints,
     TooFewCorrespondences,
 )
 from .residuals import (
@@ -89,6 +88,9 @@ class RobustEstimate:
 # set is then most likely degenerate as a whole (one plane, one point repeated).
 DEGENERATE_DRAW_LIMIT = 500
 
+# What a minimal solve or an LO refit raises on a degenerate draw.
+DEGENERATE = (DegenerateConfiguration, TooFewCorrespondences)
+
 
 def adaptive_iteration_bound(
     inlier_ratio: float, confidence: float, sample_size: int, max_iterations: int
@@ -116,7 +118,7 @@ class _LoRansac:
     threshold applies to; scores(model, distance) returns the
     per-correspondence scores whose truncated sum is the total, and is called
     only when that total can matter. refit(mask) solves from the inliers and
-    may raise one of the degenerate exceptions; the estimator calls skip()
+    may raise one of the DEGENERATE exceptions; the estimator calls skip()
     for a minimal sample whose solve raised.
 
     The minimal solve stays in the estimator's own body because the
@@ -126,7 +128,7 @@ class _LoRansac:
     """
 
     def __init__(self, cfg: RansacConfig, sample_size: int, population: int,
-                 distance, scores, refit, degenerate: tuple):
+                 distance, scores, refit):
         if population < sample_size:
             raise TooFewCorrespondences(f"need >= {sample_size} ACs, got {population}")
         self.cfg = cfg
@@ -135,7 +137,6 @@ class _LoRansac:
         self.distance = distance
         self.scores = scores
         self.refit = refit
-        self.degenerate = degenerate
         self.thr2 = cfg.threshold * cfg.threshold
         self.bound = cfg.max_iterations
         self.iterations = 0
@@ -177,7 +178,7 @@ class _LoRansac:
             for _ in range(16):
                 try:
                     candidate = self.refit(mask)
-                except self.degenerate:
+                except DEGENERATE:
                     break
                 new_mask, new_count, new_total = self._support(candidate)
                 if (-new_count, new_total) >= (-count, total):
@@ -224,12 +225,11 @@ def ransac_fundamental(
         distance=lambda F: sampson_point_batch(*columns[:4], F.matrix),
         scores=lambda F, sp: _fundamental_scores(columns, F.matrix, sp, cfg.affine_weight),
         refit=lambda mask: fundamental_from_acs(X[mask]),
-        degenerate=(DegenerateConfiguration, TooFewCorrespondences),
     )
     for idx in loop.samples():
         try:
             model = fundamental_from_acs(X[idx])
-        except loop.degenerate:
+        except DEGENERATE:
             loop.skip()
             continue
         loop.offer(model)
@@ -287,12 +287,11 @@ def ransac_homography(
         refit=lambda mask: homography_from_acs(
             X[mask[:n_acs]], list(compress(extra_points, mask[n_acs:]))
         ),
-        degenerate=(DegenerateConfiguration, TooFewConstraints),
     )
     for idx in loop.samples():
         try:
             model = homography_from_acs(X[idx])
-        except loop.degenerate:
+        except DEGENERATE:
             loop.skip()
             continue
         loop.offer(model)

@@ -33,7 +33,6 @@ from .errors import (
     InvalidArgument,
     InvalidValue,
     PointAtInfinity,
-    TooFewConstraints,
     TooFewCorrespondences,
 )
 from .residuals import FundamentalMatrix, _largest_entry_sign_fix
@@ -78,9 +77,12 @@ class RelativePose:
     def __post_init__(self):
         R = np.asarray(self.R, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.t, dtype=np.float64).reshape(3)
+        with np.errstate(over="ignore"):  # an overflowing |t| is refused below
+            nt = np.linalg.norm(t)
+        if not (np.isfinite(R).all() and math.isfinite(nt)):
+            raise InvalidValue(f"R and t must be finite, with |t| finite; got |t| = {nt}")
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-6 or np.linalg.det(R) < 0.0:
             raise InvalidValue("R is not a proper rotation")
-        nt = np.linalg.norm(t)
         if nt <= 1e-12:
             raise InvalidValue("translation direction must be nonzero")
         if abs(nt - 1.0) > 1e-12:  # keep already-unit vectors bit-stable
@@ -267,7 +269,7 @@ def homography_from_acs(
     n_acs = len(X)
     n_constraints = 6 * n_acs + 2 * len(extra_points)
     if n_constraints < 8:
-        raise TooFewConstraints(f"{n_constraints} constraints < 8")
+        raise TooFewCorrespondences(f"{n_constraints} constraints < 8")
     pts1 = np.concatenate([X[:, 0:2], np.reshape([as_vec2(p) for p, _ in extra_points], (-1, 2))])
     pts2 = np.concatenate([X[:, 2:4], np.reshape([as_vec2(q) for _, q in extra_points], (-1, 2))])
     T1 = hartley_transform(pts1)

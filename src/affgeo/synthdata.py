@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AffineCorrespondence, CameraIntrinsics, FloatArray, Mat3
-from .errors import DegenerateCamera, InvalidArgument, InvalidValue, PointAtInfinity
+from .errors import DegenerateConfiguration, InvalidArgument, InvalidValue, PointAtInfinity
 from .residuals import FundamentalMatrix
 from .solvers import (
     Homography,
@@ -91,7 +91,7 @@ def generate_scene(seed: int, n_planes: int = 1, camera_spec: CameraSpec | None 
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     lo, hi = spec.depth_range
     if lo <= 0.0 or hi <= 0.0 or hi < lo:
-        raise DegenerateCamera(f"plane depth range {spec.depth_range} must be positive")
+        raise InvalidArgument(f"plane depth range {spec.depth_range} must be positive")
     rng = np.random.default_rng(seed)
 
     if spec.rotation is None:
@@ -108,7 +108,7 @@ def generate_scene(seed: int, n_planes: int = 1, camera_spec: CameraSpec | None 
         t = np.asarray(spec.translation, dtype=float).reshape(3)
     norm_t = np.linalg.norm(t)
     if norm_t <= 1e-12:
-        raise DegenerateCamera("zero baseline requested")
+        raise InvalidArgument("zero baseline requested")
     t = t / norm_t
 
     K1, K2 = spec.intrinsics1, spec.intrinsics2
@@ -148,7 +148,7 @@ def generate_scene(seed: int, n_planes: int = 1, camera_spec: CameraSpec | None 
             homographies.append(Homography(H))
             break
         else:
-            raise DegenerateCamera("could not place a plane in front of both cameras")
+            raise DegenerateConfiguration("could not place a plane in front of both cameras")
     return SyntheticScene(
         K1=K1,
         K2=K2,
@@ -188,7 +188,7 @@ def sample_acs(
     while len(base) < n:
         attempts += 1
         if attempts > 1000 * n:
-            raise DegenerateCamera("AC sampling stalled; scene has almost no covisible area")
+            raise DegenerateConfiguration("AC sampling stalled; scene has almost no covisible area")
         plane_idx = int(rng.integers(len(scene.planes)))
         p1 = rng.uniform((0.0, 0.0), (float(w), float(h)))
         normal, offset = scene.planes[plane_idx]

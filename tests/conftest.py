@@ -1,16 +1,22 @@
 """Shared fixtures: seeded scenes and AC batches used across test modules."""
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from affgeo import AffineCorrespondence, CameraSpec, NoiseSpec, generate_scene, sample_acs
 from affgeo.solvers import apply_homography, gt_affine_from_homography
 
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+# Hypothesis writes a cache of source constants at collection even without a
+# database; keep it out of the working directory.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "affgeo-hypothesis")
 
 
 def cli_env(**overrides):

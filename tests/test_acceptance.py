@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import affgeo as ag
-from affgeo.errors import SingularNormalMatrix
+from affgeo.errors import DegenerateConfiguration
 from affgeo.fileio import write_mat3, write_matches, write_points, write_pose
 from affgeo.metrics import mma_weight_denominator
 from affgeo.residuals import sampson_point_batch
@@ -57,7 +57,7 @@ def test_criterion_1_sampson_equivalence():
             gen_p = ag.generic_sampson(epi_fn(F), x)
             gen_m = ag.generic_sampson(aff_fn(F, 0), np.r_[x, A[0, 0], A[1, 0]])
             gen_n = ag.generic_sampson(aff_fn(F, 1), np.r_[x, A[0, 1], A[1, 1]])
-        except SingularNormalMatrix:
+        except DegenerateConfiguration:
             continue
         sd_p = ag.sampson_point(x[:2], x[2:], F)
         sd_m, sd_n = ag.sampson_affine(ac, F)

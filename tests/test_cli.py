@@ -154,6 +154,7 @@ def _error_lines(stderr: str) -> list[str]:
         ["eval-pose", "--thresholds", "abc"],
         ["eval-pose", "--thresholds", "nan"],
         ["eval-pose", "--thresholds", "5,inf"],
+        ["eval-pose", "--thresholds", "1e308"],
     ],
     ids=" ".join,
 )
@@ -192,7 +193,15 @@ def test_non_ascii_input_exit_2(command, bad, synth_dir, tmp_path, capsys):
     assert len(_error_lines(capsys.readouterr().err)) == 1
 
 
-@pytest.mark.parametrize("bad", ["zero F", "fx = 0", "cx = nan", "R not a rotation"])
+POSES = {
+    "R not a rotation": "2 0 0 0 1 0 0 0 1\n1 0 0\n",
+    "nan in R": "1 0 0 0 nan 0 0 0 1\n1 0 0\n",
+    "nan in t": "1 0 0 0 1 0 0 0 1\n0 0 nan\n",
+    "|t| overflows": "1 0 0 0 1 0 0 0 1\n1e308 1e308 0\n",
+}
+
+
+@pytest.mark.parametrize("bad", ["zero F", "fx = 0", "cx = nan", *POSES])
 def test_invalid_value_exit_3(bad, synth_dir, tmp_path, capsys):
     intrinsics = {"fx = 0": "0 500 320 240\n", "cx = nan": "600 600 nan 240\n"}
     if bad == "zero F":
@@ -205,7 +214,7 @@ def test_invalid_value_exit_3(bad, synth_dir, tmp_path, capsys):
     else:
         (tmp_path / "est").mkdir()
         (tmp_path / "gt").mkdir()
-        (tmp_path / "est" / "a.txt").write_text("2 0 0 0 1 0 0 0 1\n1 0 0\n")
+        (tmp_path / "est" / "a.txt").write_text(POSES[bad])
         write_pose(tmp_path / "gt" / "a.txt", RelativePose(R=np.eye(3), t=[1.0, 0.0, 0.0]))
         args = ["eval-pose", tmp_path / "est", tmp_path / "gt"]
     assert main([str(a) for a in args]) == 3

@@ -21,7 +21,7 @@ from affgeo import (
     wrap_angle,
 )
 from affgeo.fileio import AC_HEADER, read_acs, write_acs
-from affgeo.errors import InvalidDecomposition, NonPositiveDeterminant, NonPositiveScale
+from affgeo.errors import InvalidArgument, InvalidValue
 
 from conftest import random_orientation_preserving
 
@@ -55,11 +55,11 @@ class TestDecompose:
             assert np.allclose(np.eye(2) + d.residual_shape, P, atol=1e-9)
 
     def test_reflection_rejected(self):
-        with pytest.raises(NonPositiveDeterminant):
+        with pytest.raises(InvalidValue, match=r"must be > 0 for decomposition"):
             decompose_affine([[1.0, 0.0], [0.0, -1.0]])
 
     def test_singular_rejected(self):
-        with pytest.raises(NonPositiveDeterminant):
+        with pytest.raises(InvalidValue, match=r"must be > 0 for decomposition"):
             decompose_affine([[1.0, 2.0], [2.0, 4.0]])
 
     def test_rotation_scale_family(self):
@@ -91,12 +91,12 @@ class TestSynthesize:
 
     def test_rejects_bad_shape_determinant(self):
         d = AffineDecomposition(scale_ratio=1.0, orientation_delta=0.0, residual_shape=0.1 * np.eye(2))
-        with pytest.raises(InvalidDecomposition):
+        with pytest.raises(InvalidValue, match=r"deviates from 1 beyond 1e-8"):
             synthesize_affine(d)
 
     def test_rejects_nonpositive_scale(self):
         d = AffineDecomposition(scale_ratio=-1.0, orientation_delta=0.0, residual_shape=np.zeros((2, 2)))
-        with pytest.raises(InvalidDecomposition):
+        with pytest.raises(InvalidValue, match=r"scale_ratio = -1.0 must be > 0"):
             synthesize_affine(d)
 
     def test_round_trip_1000_random(self):
@@ -134,9 +134,9 @@ class TestRelativeFrame:
         assert relative_frame(0.0, 2.0, 0.0, 1.0) == (0.0, 0.5)
 
     def test_rejects_nonpositive_scale(self):
-        with pytest.raises(NonPositiveScale):
+        with pytest.raises(InvalidArgument, match=r"scales must be > 0"):
             relative_frame(0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(NonPositiveScale):
+        with pytest.raises(InvalidArgument, match=r"scales must be > 0"):
             relative_frame(0.0, 1.0, 0.0, -2.0)
 
 

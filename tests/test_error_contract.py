@@ -7,13 +7,11 @@ import contextlib
 import io
 import re
 import shutil
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from affgeo import NoiseSpec, ac_array, generate_scene, sample_acs
 from affgeo.cli import main
@@ -21,10 +19,6 @@ from affgeo.fileio import AC_HEADER, fmt
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "affgeo"
 BUILTIN_ERRORS = {"ValueError", "RuntimeError", "TypeError", "KeyError"}
-
-# Hypothesis writes a cache of source constants at collection even without a
-# database; keep it out of the working directory.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "affgeo-hypothesis")
 
 
 def _builtin_raises(path: Path):
@@ -40,6 +34,31 @@ def test_no_builtin_error_is_raised():
     assert sources
     offenders = [hit for path in sources for hit in _builtin_raises(path)]
     assert offenders == []
+
+
+def _names_outside_raise(node):
+    """Names and attribute names in node's subtree, skipping raise statements."""
+    if isinstance(node, ast.Raise):
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _names_outside_raise(child)
+
+
+def test_every_error_class_is_handled_by_name():
+    """A class that only raise statements name reaches the caller as its base
+    class: it is one more concept that no caller tells apart. Each class must
+    be named in the exit-code table, an except clause or the robust loop's
+    degenerate tuple (imports do not count)."""
+    errors = SRC / "errors.py"
+    defined = {node.name for node in ast.walk(ast.parse(errors.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)}
+    named = {name for path in SRC.glob("*.py") if path != errors
+             for name in _names_outside_raise(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(defined - named) == []
 
 
 # --- exit codes under arbitrary file contents ------------------------------------
@@ -159,7 +178,8 @@ def other_case(draw):
 def test_other_commands_exit_only_with_documented_codes(case, workdir):
     """eval-pose, eval-mma, synth and gt-affine under extreme file contents
     and option values. A run that exits 0 prints no nan: a threshold or an
-    input that makes a metric undefined is an error, not a result."""
+    input that makes a metric undefined is an error, not a result. For the
+    same reason a pose file holding a nan or inf token never exits 0."""
     command, spec = case
     run = workdir / "other"
     shutil.rmtree(run, ignore_errors=True)
@@ -189,5 +209,8 @@ def test_other_commands_exit_only_with_documented_codes(case, workdir):
             argv = ["gt-affine", run / "H.txt", run / "points.csv"]
             argv += ["--out", run / "acs.csv"] if spec["out"] else []
     code, stdout = _run_main(argv)
+    if command == "eval-pose":
+        tokens = {tok for tokens in spec["est"] + spec["gt"] for tok in tokens}
+        assert code != 0 or not tokens & {"nan", "inf", "-inf"}, spec
     if code == 0:
         assert "nan" not in re.split(r"[\s,=]+", stdout), stdout

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from affgeo import AffineCorrespondence, CameraIntrinsics, RelativePose
-from affgeo.errors import DimensionMismatch, FileFormatError
+from affgeo.errors import FileFormatError, InvalidValue
 from affgeo.fileio import (
     AC_HEADER,
     RunReport,
@@ -133,7 +134,7 @@ class TestFixedFormats:
     def test_mat3_wrong_count(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("1 2 3 4 5 6 7 8\n")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidValue, match=r"holds 8 values, expected 9"):
             read_mat3(path)
 
     def test_pose_round_trip(self, tmp_path):
@@ -189,3 +190,89 @@ class TestRunReport:
     def test_malformed_line(self):
         with pytest.raises(FileFormatError):
             parse_report("command = x\ngarbage line\n")
+
+
+# --- write -> read -> write under arbitrary values ---------------------------------
+
+# Finite doubles, with the edge cases spelled out: -0.0, subnormals, +-1e308.
+DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e308, 600.0]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+def _tables(n_fields, n_rows=st.integers(0, 4)):
+    return n_rows.flatmap(
+        lambda n: st.lists(DOUBLES, min_size=n * n_fields, max_size=n * n_fields).map(
+            lambda v: np.reshape(v, (-1, n_fields))
+        )
+    )
+
+
+@st.composite
+def _poses(draw):
+    """R from axis_angle_rotation; t scaled so that its largest entry is +-1,
+    which keeps |t| finite and nonzero whatever the drawn doubles."""
+    axis = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    assume(np.linalg.norm(axis) > 0.0)
+    R = axis_angle_rotation(axis, draw(st.floats(-10.0, 10.0)))
+    t = np.array(draw(st.lists(DOUBLES, min_size=3, max_size=3)))
+    assume(np.any(t))
+    return RelativePose(R=R, t=t / np.max(np.abs(t)))
+
+
+def _intrinsics(skew):
+    return st.builds(CameraIntrinsics, fx=POSITIVE, fy=POSITIVE, cx=DOUBLES, cy=DOUBLES,
+                     skew=skew)
+
+
+ROUND_TRIPS = {
+    "acs": (write_acs, read_acs, _tables(8)),
+    "matches": (write_matches, read_matches, _tables(4)),
+    "points": (write_points, read_points, _tables(2)),
+    "mat3": (write_mat3, read_mat3, _tables(3, st.just(3))),
+    "pose": (write_pose, read_pose, _poses()),
+    "intrinsics4": (write_intrinsics, read_intrinsics, _intrinsics(st.just(0.0))),
+    "intrinsics5": (write_intrinsics, read_intrinsics, _intrinsics(DOUBLES.filter(bool))),
+    "labels": (write_labels, read_labels, st.lists(st.booleans(), max_size=6)),
+}
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_write_read_write_byte_identical(name, data, round_trip_dir):
+    write, read, values = ROUND_TRIPS[name]
+    first, second = round_trip_dir / f"{name}.1", round_trip_dir / f"{name}.2"
+    write(first, data.draw(values))
+    write(second, read(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
+# Tokens that look numeric but do not render back as themselves.
+NUMERIC_LOOKING = ["1e1", "007", "-0", "+5", "1_000", "1.50", "Infinity", "0x10", "True"]
+KEYS = st.text(alphabet="abcxyz019_.@", min_size=1, max_size=8)
+TEXT = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+VALUES = st.one_of(
+    st.booleans(), st.integers(), st.floats(), DOUBLES, st.sampled_from(NUMERIC_LOOKING), TEXT
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(report=st.builds(
+    RunReport, command=TEXT, config=st.dictionaries(KEYS, VALUES, max_size=5),
+    metrics=st.dictionaries(KEYS, VALUES, max_size=5),
+    seed=st.none() | st.integers(min_value=0),
+))
+def test_any_report_renders_back_byte_identical(report):
+    text = render_report(report)
+    assert render_report(parse_report(text)) == text

@@ -163,7 +163,6 @@ class TestLazyTieBreak:
             distance=lambda i: np.array(self.HYPOTHESES[i][0]),
             scores=scores,
             refit=None,
-            degenerate=(),
         )
         for i, _ in enumerate(loop.samples()):
             loop.offer(i)

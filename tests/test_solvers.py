@@ -27,7 +27,6 @@ from affgeo.errors import (
     CheiralityAmbiguity,
     DegenerateConfiguration,
     PointAtInfinity,
-    TooFewConstraints,
     TooFewCorrespondences,
 )
 from affgeo import generate_scene, solvers
@@ -352,7 +351,7 @@ class TestHomographyFromAcs:
     def test_too_few_constraints(self):
         scene = planar_scene(seed=5)
         acs, _ = sample_acs(scene, 1, seed=3)
-        with pytest.raises(TooFewConstraints):
+        with pytest.raises(TooFewCorrespondences, match=r"6 constraints < 8"):
             homography_from_acs(acs)  # 6 < 8
 
     def test_identical_acs_degenerate(self):

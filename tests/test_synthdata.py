@@ -13,7 +13,7 @@ from affgeo import (
     sampson_affine,
     sampson_point,
 )
-from affgeo.errors import DegenerateCamera
+from affgeo.errors import InvalidArgument
 from affgeo.residuals import FundamentalMatrix
 
 
@@ -46,12 +46,12 @@ class TestGenerateScene:
 
     def test_zero_baseline_rejected(self):
         spec = CameraSpec(translation=np.zeros(3))
-        with pytest.raises(DegenerateCamera):
+        with pytest.raises(InvalidArgument, match=r"zero baseline requested"):
             generate_scene(seed=0, camera_spec=spec)
 
     def test_planes_behind_camera_rejected(self):
         spec = CameraSpec(depth_range=(-8.0, -4.0))
-        with pytest.raises(DegenerateCamera):
+        with pytest.raises(InvalidArgument, match=r"plane depth range .* must be positive"):
             generate_scene(seed=0, camera_spec=spec)
 
     def test_homography_compatible_with_f(self):

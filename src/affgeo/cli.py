@@ -229,6 +229,8 @@ def cmd_eval_pose(args) -> int:
         thresholds = [float(tok) for tok in args.thresholds.split(",") if tok]
     except ValueError:
         raise InvalidArgument(f"--thresholds must be numbers, got {args.thresholds!r}") from None
+    if not thresholds:
+        raise InvalidArgument(f"--thresholds lists no threshold, got {args.thresholds!r}")
     est_index = _stem_index(args.est_dir)
     gt_index = _stem_index(args.gt_dir)
     if len(est_index) != len(gt_index):

@@ -208,15 +208,14 @@ def _parse_value(s: str):
 
 @dataclass
 class RunReport:
-    """Structured key-value record of one command invocation. The timing is
-    carried separately and never rendered, so rendered reports stay
+    """Structured key-value record of one command invocation. It holds no
+    wall time (the CLI writes that to stderr), so rendered reports stay
     byte-deterministic for a fixed seed."""
 
     command: str
     config: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     seed: int | None = None
-    timing_ms: float = 0.0
 
 
 def render_report(report: RunReport) -> str:

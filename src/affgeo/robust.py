@@ -257,12 +257,11 @@ def _homography_residuals(H: Homography, pts1h: np.ndarray, pts2h: np.ndarray) -
     fwd = pts1h @ H.matrix.T
     bwd = pts2h @ np.linalg.inv(H.matrix).T
     ok = (np.abs(fwd[:, 2]) > 1e-12) & (np.abs(bwd[:, 2]) > 1e-12)
-    d = np.full(len(pts1h), np.inf)
-    if np.any(ok):
-        df = fwd[ok, :2] / fwd[ok, 2:3] - pts2h[ok, :2]
-        db = bwd[ok, :2] / bwd[ok, 2:3] - pts1h[ok, :2]
-        d[ok] = np.sum(df * df, axis=1) + np.sum(db * db, axis=1)
-    return d
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # rows at infinity
+        df = fwd[:, :2] / fwd[:, 2:3] - pts2h[:, :2]
+        db = bwd[:, :2] / bwd[:, 2:3] - pts1h[:, :2]
+        d = np.sum(df * df, axis=1) + np.sum(db * db, axis=1)
+    return np.where(ok, d, np.inf)
 
 
 def ransac_homography(

@@ -121,15 +121,8 @@ def apply_homography(H, p) -> FloatArray:
 
 # --- Hartley normalisation ---------------------------------------------------
 
-def hartley_transform(points: FloatArray) -> Mat3:
-    """Similarity moving the centroid to the origin and the RMS radius to sqrt(2)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    centroid = pts.mean(axis=0)
-    return _hartley(centroid, np.sum((pts - centroid) ** 2, axis=1))
-
-
 def _hartley(centroid: FloatArray, squared_radii: FloatArray) -> Mat3:
-    """hartley_transform from the centroid and each point's squared distance to it."""
+    """Hartley similarity: the centroid to the origin, the RMS radius to sqrt(2)."""
     rms = math.sqrt(np.mean(squared_radii))
     if not math.isfinite(rms):  # coordinates near the largest double
         raise DegenerateConfiguration(f"RMS radius of the points is {rms}")
@@ -137,6 +130,21 @@ def _hartley(centroid: FloatArray, squared_radii: FloatArray) -> Mat3:
     return np.array(
         [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
     )
+
+
+def _similarities(P: FloatArray) -> tuple[Mat3, Mat3, FloatArray]:
+    """Both images' Hartley similarities T1, T2 from (m, 4) rows x1, y1, x2, y2,
+    and the points centred in one pass, shape (m, 2, 2)."""
+    centroids = P.mean(axis=0)
+    centred = (P - centroids).reshape(len(P), 2, 2)
+    T1 = _hartley(centroids[0:2], np.sum(centred[:, 0] ** 2, axis=1))
+    T2 = _hartley(centroids[2:4], np.sum(centred[:, 1] ** 2, axis=1))
+    return T1, T2, centred
+
+
+def _kron3(A: Mat3, B: Mat3) -> FloatArray:
+    """Kronecker product of 3x3 matrices: vec_rm(A M B^T) = _kron3(A, B) vec_rm(M)."""
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(9, 9)
 
 
 def _solve_nullspace(rows: FloatArray) -> FloatArray:
@@ -183,12 +191,7 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> Fu
     n = len(X)
     if n < 3:
         raise TooFewCorrespondences(f"need >= 3 ACs, got {n}")
-    # Both images' points centred in one pass, with hartley_transform's
-    # reductions; the RMS overflow checks come before the collinearity SVDs.
-    centroids = X[:, 0:4].mean(axis=0)
-    centred = (X[:, 0:4] - centroids).reshape(n, 2, 2)
-    T1 = _hartley(centroids[0:2], np.sum(centred[:, 0] ** 2, axis=1))
-    T2 = _hartley(centroids[2:4], np.sum(centred[:, 1] ** 2, axis=1))
+    T1, T2, centred = _similarities(X[:, 0:4])  # RMS checks before the collinearity SVDs
     sv = np.linalg.svd(centred.transpose(1, 0, 2), compute_uv=False)
     for (largest, smallest), which in zip(sv, ("first", "second")):
         if smallest <= 1e-9 * max(largest, 1.0):
@@ -208,8 +211,7 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> Fu
     rows[1, :, 0:2, 0] += X[:, 2:4]
     rows[2, :, 0:2, 1] += X[:, 2:4]
     # Change of variables F = T2^T Fn T1: vec_rm(F) = (T2^T kron T1^T) vec_rm(Fn).
-    K = (T2.T[:, None, :, None] * T1.T[None, :, None, :]).reshape(9, 9)
-    rows = rows.reshape(3, n, 9) @ K
+    rows = rows.reshape(3, n, 9) @ _kron3(T2.T, T1.T)
     rows[1:] = _unit_rows(rows[1:])
     Fn = _solve_nullspace(rows.reshape(3 * n, 9))
     # Rank-2 enforcement in the normalised frame, then undo the similarity.
@@ -220,37 +222,6 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> Fu
 
 
 # --- homography from ACs -------------------------------------------------------
-
-def _dlt_rows(pts1: FloatArray, pts2: FloatArray) -> FloatArray:
-    """The two DLT rows of each point pair, shape (n, 2, 9)."""
-    x1, y1 = pts1[:, 0], pts1[:, 1]
-    x2, y2 = pts2[:, 0], pts2[:, 1]
-    one = np.ones_like(x1)
-    zero = np.zeros_like(x1)
-    return np.stack(
-        [
-            np.stack([x1, y1, one, zero, zero, zero, -x2 * x1, -x2 * y1, -x2], axis=1),
-            np.stack([zero, zero, zero, x1, y1, one, -y2 * x1, -y2 * y1, -y2], axis=1),
-        ],
-        axis=1,
-    )
-
-
-def _affine_rows(X: FloatArray) -> FloatArray:
-    """The four rows tying each local affinity to the warp Jacobian, shape (n, 4, 9)."""
-    x1, y1, x2, y2, a11, a12, a21, a22 = X.T
-    one = np.ones_like(x1)
-    zero = np.zeros_like(x1)
-    return np.stack(
-        [
-            np.stack([one, zero, zero, zero, zero, zero, -x2 - a11 * x1, -a11 * y1, -a11], axis=1),
-            np.stack([zero, one, zero, zero, zero, zero, -a12 * x1, -x2 - a12 * y1, -a12], axis=1),
-            np.stack([zero, zero, zero, one, zero, zero, -y2 - a21 * x1, -a21 * y1, -a21], axis=1),
-            np.stack([zero, zero, zero, zero, one, zero, -a22 * x1, -y2 - a22 * y1, -a22], axis=1),
-        ],
-        axis=1,
-    )
-
 
 def homography_from_acs(
     acs: Sequence[AffineCorrespondence] | FloatArray,
@@ -266,26 +237,36 @@ def homography_from_acs(
     extra points' DLT rows come last.
     """
     X = ac_array(acs)
-    n_acs = len(X)
-    n_constraints = 6 * n_acs + 2 * len(extra_points)
+    n = len(X)
+    n_constraints = 6 * n + 2 * len(extra_points)
     if n_constraints < 8:
         raise TooFewCorrespondences(f"{n_constraints} constraints < 8")
-    pts1 = np.concatenate([X[:, 0:2], np.reshape([as_vec2(p) for p, _ in extra_points], (-1, 2))])
-    pts2 = np.concatenate([X[:, 2:4], np.reshape([as_vec2(q) for _, q in extra_points], (-1, 2))])
-    T1 = hartley_transform(pts1)
-    T2 = hartley_transform(pts2)
+    P = X[:, 0:4]
+    if len(extra_points):
+        p1 = np.reshape([as_vec2(p) for p, _ in extra_points], (-1, 2))
+        p2 = np.reshape([as_vec2(q) for _, q in extra_points], (-1, 2))
+        P = np.concatenate([P, np.hstack([p1, p2])])
+    T1, T2, _ = _similarities(P)
+    # rows[i, r] is row r of point i. With p1h = (x1, y1, 1), the DLT rows are
+    # (p1h, 0, -x2 p1h) and (0, p1h, -y2 p1h). Affine row r = 2..5 of an AC has
+    # a 1 in column 0, 1, 3 or 4 and -a p1h in columns 6-8 for a = a11, a12,
+    # a21, a22, less x2 (r = 2, 3) or y2 (r = 4, 5) in column 6 or 7.
+    rows = np.zeros((len(P), 6, 9))
+    p1h = np.hstack([P[:, 0:2], np.ones((len(P), 1))])
+    rows[:, 0, 0:3] = rows[:, 1, 3:6] = p1h
+    rows[:, 0:2, 6:9] = -(P[:, 2:4, None] * p1h[:, None, :])
+    rows[:n, 2:6, [0, 1, 3, 4]] = np.eye(4)
+    rows[:n, 2:6, 6:9] = -(X[:, 4:8, None] * p1h[:n, None, :])
+    rows[:n, [2, 3, 4, 5], [6, 7, 6, 7]] -= X[:, [2, 2, 3, 3]]
+    stacked = rows[:n].reshape(-1, 9)
+    if len(extra_points):
+        stacked = np.concatenate([stacked, rows[n:, 0:2].reshape(-1, 9)])
     # H = T2^{-1} Hn T1: vec_rm(H) = (T2^{-1} kron T1^T) vec_rm(Hn).
-    K = np.kron(np.linalg.inv(T2), T1.T)
-
-    dlt = _dlt_rows(pts1, pts2)
-    aff = _affine_rows(X)
-    rows = np.concatenate(
-        [np.concatenate([dlt[:n_acs], aff], axis=1).reshape(-1, 9), dlt[n_acs:].reshape(-1, 9)]
-    ) @ K
-    per_ac = rows[: 6 * n_acs].reshape(n_acs, 6, 9)  # a view: the writes reach rows
+    T2inv = np.linalg.inv(T2)
+    stacked = stacked @ _kron3(T2inv, T1.T)
+    per_ac = stacked[: 6 * n].reshape(n, 6, 9)  # a view: the writes reach stacked
     per_ac[:, 2:] = _unit_rows(per_ac[:, 2:])
-    Hn = _solve_nullspace(rows)
-    H = np.linalg.inv(T2) @ Hn @ T1
+    H = T2inv @ _solve_nullspace(stacked) @ T1
     if abs(H[2, 2]) <= 1e-12:
         H = _largest_entry_sign_fix(H / np.linalg.norm(H))
     return Homography(H)

@@ -155,6 +155,8 @@ def _error_lines(stderr: str) -> list[str]:
         ["eval-pose", "--thresholds", "nan"],
         ["eval-pose", "--thresholds", "5,inf"],
         ["eval-pose", "--thresholds", "1e308"],
+        ["eval-pose", "--thresholds=,"],
+        ["eval-pose", "--thresholds="],
     ],
     ids=" ".join,
 )

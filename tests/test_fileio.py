@@ -174,7 +174,6 @@ class TestRunReport:
             seed=42,
             config={"model": "fundamental", "threshold": 0.5, "lo_enabled": True, "n": 3},
             metrics={"inliers": 17, "score": 1.25, "ratio": 1.0 / 3.0, "status": "ok"},
-            timing_ms=123.4,
         )
         text = render_report(report)
         assert "timing" not in text  # timing never enters the deterministic output

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from affgeo import (
+    Homography,
     NoiseSpec,
+    ac_array,
+    homography_from_acs,
     robust,
     RansacConfig,
     adaptive_iteration_bound,
@@ -258,7 +261,37 @@ class TestRansacPose:
         assert int(proc.stdout) > 20000 // 3
 
 
+def _reference_homography_residuals(H, pts1h, pts2h):
+    """Reference: robust._homography_residuals as first written, dividing only
+    the rows that do not map to infinity."""
+    fwd = pts1h @ H.matrix.T
+    bwd = pts2h @ np.linalg.inv(H.matrix).T
+    ok = (np.abs(fwd[:, 2]) > 1e-12) & (np.abs(bwd[:, 2]) > 1e-12)
+    d = np.full(len(pts1h), np.inf)
+    if np.any(ok):
+        df = fwd[ok, :2] / fwd[ok, 2:3] - pts2h[ok, :2]
+        db = bwd[ok, :2] / bwd[ok, 2:3] - pts1h[ok, :2]
+        d[ok] = np.sum(df * df, axis=1) + np.sum(db * db, axis=1)
+    return d
+
+
 class TestRansacHomography:
+    def test_residuals_match_reference(self):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        X = ac_array(sample_acs(planar_scene(seed=33), 600, noise, seed=10)[0])
+        X[0, 0:2] = (100.0, 50.0)
+        pts1h = np.column_stack([X[:, 0:2], np.ones(len(X))])
+        pts2h = np.column_stack([X[:, 2:4], np.ones(len(X))])
+        rng = np.random.default_rng(10)
+        hypotheses = [homography_from_acs(X[rng.choice(len(X), 2, replace=False)])
+                      for _ in range(60)]
+        # sends the first data point, (100, 50), to infinity
+        hypotheses.append(Homography([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -100.0]]))
+        for H in hypotheses:
+            d = robust._homography_residuals(H, pts1h, pts2h)
+            assert d.tobytes() == _reference_homography_residuals(H, pts1h, pts2h).tobytes()
+        assert d[0] == np.inf and np.isfinite(d[1:]).any()
+
     def test_noise_free_planar(self):
         scene = planar_scene(seed=31)
         acs, _ = sample_acs(scene, 40, seed=8)

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affgeo import (
     AffineCorrespondence,
@@ -24,20 +25,22 @@ from affgeo import (
     sampson_point,
 )
 from affgeo.errors import (
+    AffgeoError,
     CheiralityAmbiguity,
     DegenerateConfiguration,
+    InvalidValue,
     PointAtInfinity,
     TooFewCorrespondences,
 )
 from affgeo import generate_scene, solvers
-from affgeo.core import homogenize
-from affgeo.residuals import FundamentalMatrix
+from affgeo.core import as_vec2, homogenize
+from affgeo.residuals import FundamentalMatrix, _largest_entry_sign_fix
 from affgeo.solvers import (
     RelativePose,
     _positive_depth_count,
+    _unit_rows,
     apply_homography,
     axis_angle_rotation,
-    hartley_transform,
     skew3,
     triangulate_point,
 )
@@ -55,6 +58,14 @@ def _fd_jacobian(H, p, step=1e-4):
         dp[i] = step
         J[:, i] = (apply_homography(H, p + dp) - apply_homography(H, p - dp)) / (2 * step)
     return J
+
+
+def hartley_transform(points):
+    """Reference: the similarity moving the centroid to the origin and the RMS
+    radius to sqrt(2), from the points of one image."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    centroid = pts.mean(axis=0)
+    return solvers._hartley(centroid, np.sum((pts - centroid) ** 2, axis=1))
 
 
 def _loop_homography_rows(acs, extra_points):
@@ -126,6 +137,61 @@ def _reference_fundamental(X):
     U, S, Vt = np.linalg.svd(Fn)
     Fn = U @ np.diag([S[0], S[1], 0.0]) @ Vt
     return FundamentalMatrix(T2.T @ Fn @ T1).normalized()
+
+
+def _reference_homography(acs, extra_points=()):
+    """Reference: homography_from_acs before the solvers shared their Hartley
+    step, with one hartley_transform per image, np.kron and nine-column stacks."""
+
+    def _dlt_rows(pts1, pts2):
+        x1, y1 = pts1[:, 0], pts1[:, 1]
+        x2, y2 = pts2[:, 0], pts2[:, 1]
+        one = np.ones_like(x1)
+        zero = np.zeros_like(x1)
+        return np.stack(
+            [
+                np.stack([x1, y1, one, zero, zero, zero, -x2 * x1, -x2 * y1, -x2], axis=1),
+                np.stack([zero, zero, zero, x1, y1, one, -y2 * x1, -y2 * y1, -y2], axis=1),
+            ],
+            axis=1,
+        )
+
+    def _affine_rows(X):
+        x1, y1, x2, y2, a11, a12, a21, a22 = X.T
+        one = np.ones_like(x1)
+        zero = np.zeros_like(x1)
+        return np.stack(
+            [
+                np.stack([one, zero, zero, zero, zero, zero, -x2 - a11 * x1, -a11 * y1, -a11], axis=1),
+                np.stack([zero, one, zero, zero, zero, zero, -a12 * x1, -x2 - a12 * y1, -a12], axis=1),
+                np.stack([zero, zero, zero, one, zero, zero, -y2 - a21 * x1, -a21 * y1, -a21], axis=1),
+                np.stack([zero, zero, zero, zero, one, zero, -a22 * x1, -y2 - a22 * y1, -a22], axis=1),
+            ],
+            axis=1,
+        )
+
+    X = ac_array(acs)
+    n_acs = len(X)
+    n_constraints = 6 * n_acs + 2 * len(extra_points)
+    if n_constraints < 8:
+        raise TooFewCorrespondences(f"{n_constraints} constraints < 8")
+    pts1 = np.concatenate([X[:, 0:2], np.reshape([as_vec2(p) for p, _ in extra_points], (-1, 2))])
+    pts2 = np.concatenate([X[:, 2:4], np.reshape([as_vec2(q) for _, q in extra_points], (-1, 2))])
+    T1 = hartley_transform(pts1)
+    T2 = hartley_transform(pts2)
+    K = np.kron(np.linalg.inv(T2), T1.T)
+    dlt = _dlt_rows(pts1, pts2)
+    aff = _affine_rows(X)
+    rows = np.concatenate(
+        [np.concatenate([dlt[:n_acs], aff], axis=1).reshape(-1, 9), dlt[n_acs:].reshape(-1, 9)]
+    ) @ K
+    per_ac = rows[: 6 * n_acs].reshape(n_acs, 6, 9)
+    per_ac[:, 2:] = _unit_rows(per_ac[:, 2:])
+    Hn = solvers._solve_nullspace(rows)
+    H = np.linalg.inv(T2) @ Hn @ T1
+    if abs(H[2, 2]) <= 1e-12:
+        H = _largest_entry_sign_fix(H / np.linalg.norm(H))
+    return Homography(H)
 
 
 def _solve_outcome(solve, X):
@@ -384,6 +450,111 @@ class TestHomographyFromAcs:
             H_rows = homography_from_acs(ac_array(acs[:n_acs]), extra)
             assert np.array_equal(captured[-1], expected)
             assert np.array_equal(H_rows.matrix, H.matrix)
+
+
+    @pytest.mark.parametrize("n_acs", [2, 7, 600])
+    @pytest.mark.parametrize("n_extra", [0, 1, 3])
+    def test_matches_reference_bit_for_bit(self, n_acs, n_extra):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.3)
+        for seed in range(4):
+            acs, _ = sample_acs(planar_scene(seed=seed), n_acs + n_extra, noise, seed=seed)
+            X = ac_array(acs[:n_acs])
+            extra = [(ac.p1, ac.p2) for ac in acs[n_acs:]]
+            outcome = _solve_outcome(lambda X: homography_from_acs(X, extra), X)
+            assert isinstance(outcome, bytes)
+            assert outcome == _solve_outcome(lambda X: _reference_homography(X, extra), X)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the huge inputs
+    @pytest.mark.parametrize(
+        "case",
+        ["too_few", "rms_overflow_first", "rms_overflow_second", "rows_overflow",
+         "repeated_point", "nonfinite_extra_p", "nonfinite_extra_q", "nonfinite_extra_both"],
+    )
+    def test_failures_match_reference(self, case):
+        acs, _ = sample_acs(planar_scene(seed=6), 4, seed=6)
+        X = ac_array(acs[:3])
+        extra = [(acs[3].p1, acs[3].p2), ((5.0, 6.0), (7.0, 8.0))]
+        if case == "too_few":
+            X, extra = X[:1], extra[:0]
+        elif case == "rms_overflow_first":
+            X[:, 0] *= 1e305
+        elif case == "rms_overflow_second":
+            X[:, 3] *= 1e305
+        elif case == "rows_overflow":  # a finite RMS radius, but x2 * x1 overflows
+            X[:, 0:4] = 1e155 + 1e141 * X[:, 0:4]
+            extra = []
+        elif case == "repeated_point":
+            X, extra = X[[0, 0]], []
+        elif case == "nonfinite_extra_p":
+            extra[1] = ((np.nan, 6.0), (7.0, 8.0))
+        elif case == "nonfinite_extra_q":
+            extra[0] = (extra[0][0], (np.inf, 1.0))
+        else:  # every p is checked before any q
+            extra = [((1.0, 2.0), (np.inf, 1.0)), ((np.nan, 6.0), (7.0, 8.0))]
+        outcome = _solve_outcome(lambda X: homography_from_acs(X, extra), X)
+        assert not isinstance(outcome, bytes)
+        assert outcome == _solve_outcome(lambda X: _reference_homography(X, extra), X)
+        if case.startswith("nonfinite"):
+            assert outcome[0] is InvalidValue
+
+
+def _similarity(angle, scale, tx, ty):
+    c, s = scale * math.cos(angle), scale * math.sin(angle)
+    return np.array([[c, -s, tx], [s, c, ty], [0.0, 0.0, 1.0]])
+
+
+def _transformed(X, S1, S2):
+    """ac_array rows seen through image similarities: p' = S p, A' = L2 A L1^-1."""
+    Y = np.empty_like(X)
+    Y[:, 0:2] = X[:, 0:2] @ S1[:2, :2].T + S1[:2, 2]
+    Y[:, 2:4] = X[:, 2:4] @ S2[:2, :2].T + S2[:2, 2]
+    A = S2[:2, :2] @ X[:, 4:8].reshape(-1, 2, 2) @ np.linalg.inv(S1[:2, :2])
+    Y[:, 4:8] = A.reshape(-1, 4)
+    return Y
+
+
+def _unit_signed(M):
+    M = M / np.linalg.norm(M)
+    return _largest_entry_sign_fix(M)
+
+
+SIMILARITY = st.tuples(
+    st.floats(-math.pi, math.pi),
+    st.floats(0.1, 10.0),
+    st.floats(-1000.0, 1000.0),
+    st.floats(-1000.0, 1000.0),
+).map(lambda args: _similarity(*args))
+
+
+class TestSimilarityEquivariance:
+    """Hartley normalisation makes both solvers equivariant: mapping each
+    image by a similarity maps the model by the matching change of frame."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.sampled_from([3, 4, 9, 40]),
+           S1=SIMILARITY, S2=SIMILARITY)
+    def test_fundamental(self, seed, n, S1, S2):
+        X = ac_array(sample_acs(generate_scene(seed=seed, n_planes=3), n, seed=seed)[0])
+        try:
+            F = fundamental_from_acs(X).matrix
+            F_mapped = fundamental_from_acs(_transformed(X, S1, S2)).matrix
+        except AffgeoError:
+            return
+        expected = _unit_signed(np.linalg.inv(S2).T @ F @ np.linalg.inv(S1))
+        assert np.max(np.abs(_unit_signed(F_mapped) - expected)) <= 1e-8
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.sampled_from([2, 3, 9, 40]),
+           S1=SIMILARITY, S2=SIMILARITY)
+    def test_homography(self, seed, n, S1, S2):
+        X = ac_array(sample_acs(planar_scene(seed=seed), n, seed=seed)[0])
+        try:
+            H = homography_from_acs(X).matrix
+            H_mapped = homography_from_acs(_transformed(X, S1, S2)).matrix
+        except AffgeoError:
+            return
+        expected = _unit_signed(S2 @ H @ np.linalg.inv(S1))
+        assert np.max(np.abs(_unit_signed(H_mapped) - expected)) <= 1e-8
 
 
 class TestEssentialFromFundamental:

@@ -30,10 +30,11 @@ from .errors import DegenerateConfiguration
 DEGENERATE_DENOMINATOR = 1e-18
 
 
-def _largest_entry_sign_fix(M: Mat3) -> Mat3:
-    """Flip sign so the largest-magnitude entry is positive (deterministic)."""
-    flat = M.ravel()
-    return -M if flat[np.argmax(np.abs(flat))] < 0 else M
+def _largest_entry_sign_fix(M: FloatArray) -> FloatArray:
+    """Flip each 3x3 matrix's sign so its largest-magnitude entry is positive."""
+    flat = M.reshape(-1, 9)
+    largest = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    return M * np.where(largest < 0, -1.0, 1.0).reshape(M.shape[:-2] + (1, 1))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ truncated score asc, hypothesis index asc), which makes the outcome a pure
 function of the inputs and the seed. The affine terms only break ties
 between equal counts, so they are computed only for hypotheses whose count can
 tie or beat the best one, and for LO refits. Both estimators run the same loop
-(_LoRansac); each supplies only its minimal solve, residuals and LO refit.
+(_LoRansac), which draws minimal samples in blocks; each supplies only its
+minimal solve (ransac_fundamental's solves a block in one stacked pass),
+residuals and LO refit.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .solvers import (
     RelativePose,
     decompose_essential,
     essential_from_fundamental,
+    fundamental_batch,
     fundamental_from_acs,
     homography_from_acs,
 )
@@ -91,6 +94,9 @@ DEGENERATE_DRAW_LIMIT = 500
 # What a minimal solve or an LO refit raises on a degenerate draw.
 DEGENERATE = (DegenerateConfiguration, TooFewCorrespondences)
 
+# Minimal samples drawn per block: BLOCK_START, then twice the last up to BLOCK_CAP.
+BLOCK_START, BLOCK_CAP = 16, 64
+
 
 def adaptive_iteration_bound(
     inlier_ratio: float, confidence: float, sample_size: int, max_iterations: int
@@ -109,8 +115,9 @@ def adaptive_iteration_bound(
 class _LoRansac:
     """The seeded LO-RANSAC loop that both estimators share.
 
-    The estimator iterates over samples(), solves each minimal sample itself
-    and passes every model it gets to offer(). offer() scores the model
+    The estimator iterates over samples(), which draws the minimal samples in
+    blocks and yields each sample, or what the estimator's solve(block) made
+    of it, and passes every model it gets to offer(). offer() scores the model
     against all correspondences, ranks it by (inlier count desc, truncated
     total asc, iteration asc), runs up to 16 local-optimisation refits over
     the inlier set while they improve, and tightens the adaptive bound that
@@ -119,12 +126,13 @@ class _LoRansac:
     per-correspondence scores whose truncated sum is the total, and is called
     only when that total can matter. refit(mask) solves from the inliers and
     may raise one of the DEGENERATE exceptions; the estimator calls skip()
-    for a minimal sample whose solve raised.
+    for a minimal sample whose solve was degenerate.
 
-    The minimal solve stays in the estimator's own body because the
-    benchmark's tracer (bench/tracing.py) tells a minimal solve from an LO
-    refit by the code object that calls the solver; TestTracerSeam in
-    tests/test_robust.py pins this.
+    The benchmark's tracer (bench/tracing.py) tells a minimal solve from an
+    LO refit by the solver's calling code object, so ransac_homography's own
+    body solves its minimal samples; minimal F samples go through the module
+    global fundamental_batch, and fundamental_from_acs only refits.
+    TestTracerSeam in tests/test_robust.py pins both.
     """
 
     def __init__(self, cfg: RansacConfig, sample_size: int, population: int,
@@ -143,13 +151,24 @@ class _LoRansac:
         self.degenerate_run = 0  # draws in a row whose minimal solve raised, with no model
         self.best = None  # (key, model, mask)
 
-    def samples(self):
-        """Index arrays of the minimal samples, drawn until the adaptive bound
-        or until DEGENERATE_DRAW_LIMIT draws in a row were degenerate."""
+    def samples(self, solve=lambda block: block):
+        """One item per minimal sample, in draw order, until the adaptive bound
+        or until DEGENERATE_DRAW_LIMIT draws in a row were degenerate. solve
+        maps each block of samples, a (B, sample_size) index array no longer
+        than the bound leaves, to B items (by default the index arrays); the
+        items of a block past the stop are dropped."""
         rng = np.random.default_rng(self.cfg.seed)
+        size, left = BLOCK_START, 0
         while self.iterations < self.bound and self.degenerate_run < DEGENERATE_DRAW_LIMIT:
+            if not left:
+                left = min(size, self.bound - self.iterations)
+                block = [rng.choice(self.population, size=self.sample_size, replace=False)
+                         for _ in range(left)]
+                items = iter(solve(np.array(block)))
+                size = min(2 * size, BLOCK_CAP)
+            left -= 1
             self.iterations += 1
-            yield rng.choice(self.population, size=self.sample_size, replace=False)
+            yield next(items)
 
     def skip(self) -> None:
         """Record that the current draw's minimal solve was degenerate."""
@@ -226,13 +245,16 @@ def ransac_fundamental(
         scores=lambda F, sp: _fundamental_scores(columns, F.matrix, sp, cfg.affine_weight),
         refit=lambda mask: fundamental_from_acs(X[mask]),
     )
-    for idx in loop.samples():
-        try:
-            model = fundamental_from_acs(X[idx])
-        except DEGENERATE:
+
+    def solve(block):  # models only for the samples the loop takes, each its own copy
+        F, faults = fundamental_batch(X[block])  # so that a kept model does not pin the block
+        return (None if fault else FundamentalMatrix(f.copy()) for f, fault in zip(F, faults))
+
+    for model in loop.samples(solve):
+        if model is None:
             loop.skip()
-            continue
-        loop.offer(model)
+        else:
+            loop.offer(model)
     return loop.result()
 
 

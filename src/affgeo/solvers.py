@@ -119,53 +119,63 @@ def apply_homography(H, p) -> FloatArray:
     return q[:2] / q[2]
 
 
-# --- Hartley normalisation ---------------------------------------------------
+# --- Hartley normalisation and the null vector, over a stack of B samples -----
 
-def _hartley(centroid: FloatArray, squared_radii: FloatArray) -> Mat3:
-    """Hartley similarity: the centroid to the origin, the RMS radius to sqrt(2)."""
-    rms = math.sqrt(np.mean(squared_radii))
-    if not math.isfinite(rms):  # coordinates near the largest double
-        raise DegenerateConfiguration(f"RMS radius of the points is {rms}")
-    s = math.sqrt(2.0) / rms if rms > 1e-12 else 1.0
-    return np.array(
-        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
-    )
-
-
-def _similarities(P: FloatArray) -> tuple[Mat3, Mat3, FloatArray]:
-    """Both images' Hartley similarities T1, T2 from (m, 4) rows x1, y1, x2, y2,
-    and the points centred in one pass, shape (m, 2, 2)."""
-    centroids = P.mean(axis=0)
-    centred = (P - centroids).reshape(len(P), 2, 2)
-    T1 = _hartley(centroids[0:2], np.sum(centred[:, 0] ** 2, axis=1))
-    T2 = _hartley(centroids[2:4], np.sum(centred[:, 1] ** 2, axis=1))
-    return T1, T2, centred
+def _flag(faults: list | None, bad: np.ndarray, message) -> None:
+    """A check that the samples bad marks fail: with faults None (one sample)
+    raise its message, else record message(i) where no earlier check failed."""
+    if faults is None:
+        if bad[0]:
+            raise DegenerateConfiguration(message(0))
+    else:
+        for i in np.flatnonzero(bad):
+            faults[i] = faults[i] or message(i)
 
 
-def _kron3(A: Mat3, B: Mat3) -> FloatArray:
-    """Kronecker product of 3x3 matrices: vec_rm(A M B^T) = _kron3(A, B) vec_rm(M)."""
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(9, 9)
+def _similarities(P: FloatArray, faults: list | None = None):
+    """Both images' Hartley similarities T1, T2 (centroid to the origin, RMS radius
+    to sqrt(2)) from (B, m, 4) rows x1, y1, x2, y2, and the points centred."""
+    centroids = P.mean(axis=1).reshape(-1, 2, 2)
+    centred = P.reshape(len(P), -1, 2, 2) - centroids[:, None]
+    # (B, 2, m) and contiguous, so each image's mean is numpy's pairwise sum
+    rms = np.sqrt(np.mean(np.sum(centred ** 2, axis=-1).swapaxes(1, 2).copy(), axis=-1))
+    for k, which in enumerate(("first", "second")):  # coordinates near the largest double
+        _flag(faults, ~np.isfinite(rms[:, k]),
+              lambda i: f"RMS radius of the points in the {which} image is {rms[i, k]}")
+    s = np.divide(math.sqrt(2.0), rms, out=np.ones_like(rms), where=rms > 1e-12)
+    T = s[..., None, None] * np.eye(3)
+    T[..., 0:2, 2] = -s[..., None] * centroids
+    T[..., 2, 2] = 1.0
+    return T[:, 0], T[:, 1], centred
 
 
-def _solve_nullspace(rows: FloatArray) -> FloatArray:
-    """Smallest right singular vector of the stacked constraint rows.
+def _kron3(A: FloatArray, B: FloatArray) -> FloatArray:
+    """Kronecker products of 3x3 stacks: vec_rm(A M B^T) = _kron3(A, B) vec_rm(M)."""
+    return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(*A.shape[:-2], 9, 9)
+
+
+def _solve_nullspace(rows: FloatArray, faults: list | None = None) -> FloatArray:
+    """Smallest right singular vector of each sample's (m, 9) constraint rows.
 
     One SVD gives both the rank (with matrix_rank's tolerance) and the null
-    vector. It is thin unless there are fewer rows than the 9 unknowns,
-    where only the full Vt holds the null vector. Overflowed rows (the SVD can
-    hang on them) and an SVD that does not converge are degenerate.
+    vector; it is thin unless m < 9, where only the full Vt holds the null
+    vector. Overflowed rows and, for one sample, an SVD that does not converge
+    are degenerate; with faults given, an SVD that does not converge raises.
     """
-    if not np.isfinite(rows).all():
-        raise DegenerateConfiguration("constraint rows overflow")
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    _flag(faults, ~finite, lambda i: "constraint rows overflow")
+    if not finite.all():  # zero the non-finite entries: the SVD can hang on them
+        rows = np.where(np.isfinite(rows), rows, 0.0)
     try:
-        _, S, Vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < 9)
+        _, S, Vt = np.linalg.svd(rows, full_matrices=rows.shape[1] < 9)
     except np.linalg.LinAlgError as exc:
+        if faults is not None:
+            raise
         raise DegenerateConfiguration(f"constraint matrix SVD: {exc}") from exc
-    tol = S.max() * (max(rows.shape) * np.finfo(S.dtype).eps)
-    rank = int(np.count_nonzero(S > tol))
-    if rank < 8:
-        raise DegenerateConfiguration(f"constraint matrix rank {rank} < 8")
-    return Vt[-1].reshape(3, 3)
+    tol = S.max(axis=1) * (max(rows.shape[1:]) * np.finfo(S.dtype).eps)
+    rank = np.sum(S > tol[:, None], axis=1)
+    _flag(faults, rank < 8, lambda i: f"constraint matrix rank {rank[i]} < 8")
+    return Vt[:, -1].reshape(-1, 3, 3)
 
 
 def _unit_rows(rows: FloatArray) -> FloatArray:
@@ -175,50 +185,79 @@ def _unit_rows(rows: FloatArray) -> FloatArray:
 
 # --- fundamental matrix from ACs ----------------------------------------------
 
-def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> FundamentalMatrix:
-    """Fundamental matrix from >= 3 ACs (3 linear equations each), given as
-    AffineCorrespondence objects or as ac_array rows.
-
-    Exact for 3 noise-free ACs, least squares beyond. The result is rank-2
-    projected, unit Frobenius norm, largest-magnitude entry positive.
+def _fundamental(S: FloatArray, faults: list | None = None) -> FloatArray:
+    """F of each sample in S, a (B, m, 8) stack of ac_array rows, m >= 3;
+    faults as in _flag.
 
     Rows are assembled in pixel coordinates (one epipolar row, two rows
     matching the expanded affine-constraint terms) and the Hartley similarity
     is applied as an exact change of variables on the 9 unknowns, which
     conditions the solve without altering the row space.
     """
-    X = ac_array(acs)
-    n = len(X)
-    if n < 3:
-        raise TooFewCorrespondences(f"need >= 3 ACs, got {n}")
-    T1, T2, centred = _similarities(X[:, 0:4])  # RMS checks before the collinearity SVDs
-    sv = np.linalg.svd(centred.transpose(1, 0, 2), compute_uv=False)
-    for (largest, smallest), which in zip(sv, ("first", "second")):
-        if smallest <= 1e-9 * max(largest, 1.0):
-            raise DegenerateConfiguration(f"points are (near-)collinear in the {which} image")
-    # rows[r, i, j, k] multiplies F[j, k] in row r of AC i. With p1h = (x1, y1, 1),
+    B, n = S.shape[:2]
+    T1, T2, centred = _similarities(S[:, :, 0:4], faults)
+    centred = np.where(np.isfinite(centred), centred, 0.0).swapaxes(1, 2)  # as in _solve_nullspace
+    sv = np.linalg.svd(centred, compute_uv=False)
+    collinear = sv[..., 1] <= 1e-9 * np.maximum(sv[..., 0], 1.0)
+    for k, which in enumerate(("first", "second")):
+        _flag(faults, collinear[:, k],
+              lambda i: f"points are (near-)collinear in the {which} image")
+    # rows[b, r, i, j, k] multiplies F[j, k] in row r of AC i. With p1h = (x1, y1, 1),
     # the epipolar row is outer((x2, y2, 1), p1h); row m is outer((a11, a21, 0),
     # p1h) plus (x2, y2, 1) in column 0, and row n is outer((a12, a22, 0), p1h)
-    # plus (x2, y2, 1) in column 1.
-    rows = np.empty((3, n, 3, 3))
-    p1 = X[:, 0:2]
-    u = np.stack([X[:, 2:4], X[:, 4:8:2], X[:, 5:8:2]])  # (x2, y2), (a11, a21), (a12, a22)
-    rows[:, :, 0:2, 0:2] = u[..., None] * p1[:, None, :]
-    rows[:, :, 0:2, 2] = u
-    rows[0, :, 2, 0:2] = p1
-    rows[0, :, 2, 2] = 1.0
-    rows[1:, :, 2] = [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]
-    rows[1, :, 0:2, 0] += X[:, 2:4]
-    rows[2, :, 0:2, 1] += X[:, 2:4]
+    # plus (x2, y2, 1) in column 1. u[:, r] holds (x2, y2), (a11, a21), (a12, a22).
+    rows = np.empty((B, 3, n, 3, 3))
+    p1, p2 = S[:, :, 0:2], S[:, :, 2:4]
+    u = S[:, :, [2, 3, 4, 6, 5, 7]].reshape(B, n, 3, 2).swapaxes(1, 2)
+    rows[..., 0:2, 0:2] = u[..., None] * p1[:, None, :, None, :]
+    rows[..., 0:2, 2] = u
+    rows[:, 0, :, 2, 0:2] = p1
+    rows[:, 0, :, 2, 2] = 1.0
+    rows[:, 1:, :, 2] = [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]
+    rows[:, 1, :, 0:2, 0] += p2
+    rows[:, 2, :, 0:2, 1] += p2
     # Change of variables F = T2^T Fn T1: vec_rm(F) = (T2^T kron T1^T) vec_rm(Fn).
-    rows = rows.reshape(3, n, 9) @ _kron3(T2.T, T1.T)
-    rows[1:] = _unit_rows(rows[1:])
-    Fn = _solve_nullspace(rows.reshape(3 * n, 9))
+    T2t = T2.swapaxes(1, 2)
+    rows = rows.reshape(B, 3, n, 9) @ _kron3(T2t, T1.swapaxes(1, 2))[:, None]
+    rows[:, 1:] = _unit_rows(rows[:, 1:])
+    Fn = _solve_nullspace(rows.reshape(B, 3 * n, 9), faults)
     # Rank-2 enforcement in the normalised frame, then undo the similarity.
-    U, S, Vt = np.linalg.svd(Fn)
-    Fn = U @ np.diag([S[0], S[1], 0.0]) @ Vt
-    F = T2.T @ Fn @ T1
-    return FundamentalMatrix(_largest_entry_sign_fix(F / np.linalg.norm(F)))
+    U, sv, Vt = np.linalg.svd(Fn)
+    F = T2t @ (U @ (sv[:, :, None] * np.diag([1.0, 1.0, 0.0])) @ Vt) @ T1
+    f = F.reshape(B, 1, 9)  # f @ f^T is the dot product np.linalg.norm takes, bit for bit
+    return _largest_entry_sign_fix(F / np.sqrt(f @ f.swapaxes(1, 2)))
+
+
+def fundamental_batch(S: FloatArray) -> tuple[FloatArray, list[str | None]]:
+    """fundamental_from_acs over a (B, m, 8) block of samples, m >= 3, in one
+    stacked pass: B matrices, bit for bit, and per sample None or the message
+    it raises (the matrix is then meaningless). If a stacked SVD does not
+    converge, each sample is solved alone."""
+    faults: list[str | None] = [None] * len(S)
+    try:
+        with np.errstate(all="ignore"):  # arithmetic on samples already flagged
+            return _fundamental(S, faults), faults
+    except np.linalg.LinAlgError:
+        F, faults = np.zeros((len(S), 3, 3)), [None] * len(S)
+        for i in range(len(S)):
+            try:
+                F[i] = _fundamental(S[i:i + 1])[0]
+            except DegenerateConfiguration as exc:
+                faults[i] = str(exc)
+        return F, faults
+
+
+def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> FundamentalMatrix:
+    """Fundamental matrix from >= 3 ACs (3 linear equations each), given as
+    AffineCorrespondence objects or as ac_array rows.
+
+    Exact for 3 noise-free ACs, least squares beyond. The result is rank-2
+    projected, unit Frobenius norm, largest-magnitude entry positive.
+    """
+    X = ac_array(acs)
+    if len(X) < 3:
+        raise TooFewCorrespondences(f"need >= 3 ACs, got {len(X)}")
+    return FundamentalMatrix(_fundamental(X[None])[0])
 
 
 # --- homography from ACs -------------------------------------------------------
@@ -246,7 +285,7 @@ def homography_from_acs(
         p1 = np.reshape([as_vec2(p) for p, _ in extra_points], (-1, 2))
         p2 = np.reshape([as_vec2(q) for _, q in extra_points], (-1, 2))
         P = np.concatenate([P, np.hstack([p1, p2])])
-    T1, T2, _ = _similarities(P)
+    T1, T2, _ = (T[0] for T in _similarities(P[None]))
     # rows[i, r] is row r of point i. With p1h = (x1, y1, 1), the DLT rows are
     # (p1h, 0, -x2 p1h) and (0, p1h, -y2 p1h). Affine row r = 2..5 of an AC has
     # a 1 in column 0, 1, 3 or 4 and -a p1h in columns 6-8 for a = a11, a12,
@@ -266,7 +305,7 @@ def homography_from_acs(
     stacked = stacked @ _kron3(T2inv, T1.T)
     per_ac = stacked[: 6 * n].reshape(n, 6, 9)  # a view: the writes reach stacked
     per_ac[:, 2:] = _unit_rows(per_ac[:, 2:])
-    H = T2inv @ _solve_nullspace(stacked) @ T1
+    H = T2inv @ _solve_nullspace(stacked[None])[0] @ T1
     if abs(H[2, 2]) <= 1e-12:
         H = _largest_entry_sign_fix(H / np.linalg.norm(H))
     return Homography(H)

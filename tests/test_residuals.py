@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affgeo import (
     AffineCorrespondence,
@@ -20,6 +21,12 @@ from affgeo import (
     sampson_point,
 )
 from affgeo.errors import DegenerateConfiguration
+from affgeo.residuals import (
+    affine_terms,
+    epipolar_terms,
+    sampson_affine_batch,
+    sampson_point_batch,
+)
 from affgeo.synthdata import NoiseSpec, sample_acs
 
 F_XLATE = FundamentalMatrix([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
@@ -179,6 +186,47 @@ class TestScaleInvariance:
             b = sampson_affine(ac, lam * np.asarray(F))
             assert b[0] == pytest.approx(a[0], rel=1e-12)
             assert b[1] == pytest.approx(a[1], rel=1e-12)
+
+
+def _well_conditioned(terms, abs_terms):
+    """Where a Sampson ratio is well conditioned: neither its residual nor its
+    squared gradient norm loses more than a factor 100 to cancellation.
+    terms and abs_terms are (residual, *gradient) from the same formulas with
+    F and the columns as given, and with all of them replaced by magnitudes."""
+    num, *grad = terms
+    abs_num, *abs_grad = abs_terms
+    den = sum(g * g for g in grad)
+    abs_den = sum(g * g for g in abs_grad)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (abs_num <= 100 * np.abs(num)) & (abs_den <= 100 * den)
+
+
+class TestScaleInvarianceProperty:
+    """sampson_point_batch and sampson_affine_batch see F only up to scale:
+    rescaling F by any nonzero finite lambda, |lambda| in [1e-6, 1e6], leaves
+    every distance unchanged to 1e-12 relative. A distance whose residual or
+    gradient is a near-cancellation (see _well_conditioned) is rounding noise
+    at that level and is left out; at least nine in ten are checked."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(1e-6, 1e6), negative=st.booleans(),
+           pixels=st.floats(1.0, 1e4))
+    def test_sampson_batches_unchanged_when_f_is_rescaled(self, seed, lam, negative, pixels):
+        rng = np.random.default_rng(seed)
+        F = _random_f(rng)
+        cols = np.vstack([rng.uniform(-pixels, pixels, size=(4, 50)), rng.normal(size=(4, 50))])
+        scaled = (-lam if negative else lam) * F
+        checked = total = 0
+        for before, after, terms, abs_terms in [
+            (sampson_point_batch(*cols[:4], F), sampson_point_batch(*cols[:4], scaled),
+             epipolar_terms(*cols[:4], F), epipolar_terms(*np.abs(cols[:4]), np.abs(F))),
+            *zip(sampson_affine_batch(*cols, F), sampson_affine_batch(*cols, scaled),
+                 affine_terms(*cols, F), affine_terms(*np.abs(cols), np.abs(F))),
+        ]:
+            ok = _well_conditioned(terms, abs_terms)
+            assert np.all(np.abs(after - before)[ok] <= 1e-12 * before[ok])
+            checked, total = checked + ok.sum(), total + ok.size
+        assert checked >= 0.9 * total
 
 
 # --- exact geometric distance oracle ---------------------------------------------

@@ -13,6 +13,7 @@ from affgeo import (
     Homography,
     NoiseSpec,
     ac_array,
+    fundamental_from_acs,
     homography_from_acs,
     robust,
     RansacConfig,
@@ -135,6 +136,109 @@ class TestRansacFundamental:
         assert adaptive_iteration_bound(0.0, 0.99, 3, 500) == 500
         assert adaptive_iteration_bound(1.0, 0.99, 3, 500) == 1
         assert adaptive_iteration_bound(1e-9, 0.99, 3, 500) == 500
+
+
+def _reference_ransac_fundamental(acs, cfg):
+    """Reference: ransac_fundamental as it was before block sampling, drawing
+    one sample at a time and calling fundamental_from_acs on it."""
+    X = ac_array(acs)
+    columns = np.ascontiguousarray(X.T)
+    loop = robust._LoRansac(
+        cfg, 3, len(X),
+        distance=lambda F: sampson_point_batch(*columns[:4], F.matrix),
+        scores=lambda F, sp: robust._fundamental_scores(columns, F.matrix, sp, cfg.affine_weight),
+        refit=lambda mask: fundamental_from_acs(X[mask]),
+    )
+    rng = np.random.default_rng(cfg.seed)
+    while loop.iterations < loop.bound and loop.degenerate_run < robust.DEGENERATE_DRAW_LIMIT:
+        loop.iterations += 1
+        idx = rng.choice(len(X), size=3, replace=False)
+        try:
+            model = fundamental_from_acs(X[idx])
+        except robust.DEGENERATE:
+            loop.skip()
+            continue
+        loop.offer(model)
+    return loop.result()
+
+
+def _estimate_outcome(estimate, *args):
+    """The bytes of an estimate, or the class and message of what it raised."""
+    try:
+        est = estimate(*args)
+    except Exception as exc:  # the class and message are the outcome
+        return type(exc), str(exc)
+    return (est.model.matrix.tobytes(), est.inlier_mask.tobytes(), est.iterations_run,
+            est.score)
+
+
+def _block_sampling_cases():
+    """(scene seed, ACs, outlier fraction, config) for the block-sampling oracle."""
+    cases = [(s, 200, 0.4, RansacConfig(seed=s)) for s in range(8)]
+    cases += [(8 + s, 100, 0.6, RansacConfig(seed=s, threshold=1.0)) for s in range(3)]
+    cases += [(11 + s, 200, 0.4, RansacConfig(seed=s, lo_enabled=False)) for s in range(3)]
+    cases += [(14 + i, 200, 0.5, RansacConfig(seed=i, max_iterations=m))
+              for i, m in enumerate([1, 5, 37, 100])]
+    cases += [(18, 60, 0.0, RansacConfig(seed=3, affine_weight=0.0)),
+              (19, 200, 0.8, RansacConfig(seed=4, max_iterations=300))]
+    return cases
+
+
+class TestBlockSampling:
+    """Samples drawn and solved in blocks give the estimate of the loop that
+    drew and solved one sample at a time: same model, mask, iteration count
+    and score bytes, or the same refusal."""
+
+    @pytest.mark.parametrize("case", range(len(_block_sampling_cases())))
+    def test_matches_per_sample_loop(self, monkeypatch, case):
+        scene_seed, n, outliers, cfg = _block_sampling_cases()[case]
+        scene = generate_scene(seed=scene_seed, n_planes=3)
+        acs, _ = sample_acs(scene, n, NoiseSpec(point_sigma=0.5, outlier_fraction=outliers),
+                            seed=scene_seed)
+        blocks = []
+        batch = robust.fundamental_batch
+        monkeypatch.setattr(robust, "fundamental_batch", lambda S: blocks.append(len(S)) or batch(S))
+        outcome = _estimate_outcome(ransac_fundamental, acs, cfg)
+        assert isinstance(outcome[0], bytes) or cfg.max_iterations <= 5  # one bad draw refuses
+        assert outcome == _estimate_outcome(_reference_ransac_fundamental, acs, cfg)
+        assert blocks[0] == min(robust.BLOCK_START, cfg.max_iterations)
+        assert max(blocks) <= robust.BLOCK_CAP and sum(blocks) <= cfg.max_iterations
+
+    def test_kept_model_does_not_pin_its_block(self):
+        # without LO the best model is a minimal sample's; a view into its
+        # block's (B, 3, 3) array would keep the whole block alive
+        scene = generate_scene(seed=20, n_planes=3)
+        acs, _ = sample_acs(scene, 200, NoiseSpec(point_sigma=0.5, outlier_fraction=0.4), seed=20)
+        M = ransac_fundamental(acs, RansacConfig(seed=20, lo_enabled=False)).model.matrix
+        assert M.base is None or M.base.nbytes == M.nbytes
+
+    def test_repeated_acs_mix_degenerate_and_good_draws(self, monkeypatch):
+        scene = generate_scene(seed=30, n_planes=3)
+        acs, _ = sample_acs(scene, 40, NoiseSpec(point_sigma=0.5, outlier_fraction=0.3), seed=30)
+        X = ac_array(acs)[np.random.default_rng(30).integers(0, 12, size=60)]
+        flags = []  # per block, which samples were degenerate
+        batch = robust.fundamental_batch
+
+        def spy(S):
+            F, faults = batch(S)
+            flags.append([f is not None for f in faults])
+            return F, faults
+
+        monkeypatch.setattr(robust, "fundamental_batch", spy)
+        for seed in range(3):
+            cfg = RansacConfig(seed=seed)
+            outcome = _estimate_outcome(ransac_fundamental, X, cfg)
+            assert isinstance(outcome[0], bytes)
+            assert outcome == _estimate_outcome(_reference_ransac_fundamental, X, cfg)
+        assert any(0 < sum(block) < len(block) for block in flags)
+
+    def test_single_plane_stops_on_degenerate_draws(self):
+        acs, _ = sample_acs(planar_scene(seed=31), 50, seed=31)  # noise-free: every draw degenerate
+        cfg = RansacConfig(seed=5)
+        outcome = _estimate_outcome(ransac_fundamental, acs, cfg)
+        assert outcome == (NoModelFound, "the sampler stopped on 500 consecutive degenerate "
+                                         "draws in 500 iterations")
+        assert outcome == _estimate_outcome(_reference_ransac_fundamental, acs, cfg)
 
 
 class TestLazyTieBreak:
@@ -333,34 +437,47 @@ class TestRansacHomography:
 
 class TestTracerSeam:
     """The benchmark's tracer tells a minimal solve from an LO refit by the
-    code object of the solver's caller: minimal solves are called from the
-    estimator's own body, LO refits from anywhere else."""
+    code object of the solver's caller: a solver called from an estimator's
+    own body is a minimal solve, one called from anywhere else an LO refit.
+    Minimal F samples are solved in blocks by fundamental_batch instead, so
+    fundamental_from_acs is never called from ransac_fundamental's body."""
 
-    @pytest.mark.parametrize("estimator", ["pose", "homography"])
+    def test_pose_refits_are_its_only_single_solves(self, monkeypatch):
+        callers, samples = [], []
+        solve, batch = robust.fundamental_from_acs, robust.fundamental_batch
+
+        def spy_solve(*args):
+            callers.append((sys._getframe(1).f_code, sys._getframe(2).f_code))
+            return solve(*args)
+
+        def spy_batch(S):
+            samples.append(len(S))
+            return batch(S)
+
+        monkeypatch.setattr(robust, "fundamental_from_acs", spy_solve)
+        monkeypatch.setattr(robust, "fundamental_batch", spy_batch)
+        scene = generate_scene(seed=12, n_planes=3)
+        acs, _ = sample_acs(scene, 200, NoiseSpec(point_sigma=0.5, outlier_fraction=0.4), seed=13)
+        _, est = ransac_pose(acs, scene.K1, scene.K2, RansacConfig(seed=14))
+        assert callers  # the LO refits
+        assert all(caller is not ransac_fundamental.__code__ for caller, _ in callers)
+        assert {refit_caller for _, refit_caller in callers} == {robust._LoRansac.offer.__code__}
+        assert sum(samples) >= est.iterations_run
+
+    @pytest.mark.parametrize("estimator", ["homography"])  # the F case is the test above
     def test_minimal_solves_come_from_the_estimator_body(self, monkeypatch, estimator):
         callers = []
+        solve = robust.homography_from_acs
 
-        def spy(solve):
-            def wrapper(*args, **kwargs):
-                callers.append(sys._getframe(1).f_code)
-                return solve(*args, **kwargs)
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code)
+            return solve(*args, **kwargs)
 
-            return wrapper
-
-        monkeypatch.setattr(robust, "fundamental_from_acs", spy(robust.fundamental_from_acs))
-        monkeypatch.setattr(robust, "homography_from_acs", spy(robust.homography_from_acs))
-        noise = NoiseSpec(point_sigma=0.5, outlier_fraction=0.4)
-        if estimator == "pose":
-            scene = generate_scene(seed=12, n_planes=3)
-            acs, _ = sample_acs(scene, 200, noise, seed=13)
-            _, est = ransac_pose(acs, scene.K1, scene.K2, RansacConfig(seed=14))
-            loop = ransac_fundamental.__code__
-        else:
-            scene = planar_scene(seed=12)
-            acs, _ = sample_acs(scene, 200, noise, seed=13)
-            est = ransac_homography(acs, [], RansacConfig(threshold=2.0, seed=14))
-            loop = ransac_homography.__code__
-        minimal = [c for c in callers if c == loop]
+        monkeypatch.setattr(robust, "homography_from_acs", spy)
+        acs, _ = sample_acs(planar_scene(seed=12), 200,
+                            NoiseSpec(point_sigma=0.5, outlier_fraction=0.4), seed=13)
+        est = ransac_homography(acs, [], RansacConfig(threshold=2.0, seed=14))
+        minimal = [c for c in callers if c == ransac_homography.__code__]
         assert len(minimal) == est.iterations_run
         assert len(callers) > len(minimal)  # the LO refits
 

@@ -3,6 +3,7 @@ and the homography warp Jacobian."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -65,7 +66,26 @@ def hartley_transform(points):
     radius to sqrt(2), from the points of one image."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     centroid = pts.mean(axis=0)
-    return solvers._hartley(centroid, np.sum((pts - centroid) ** 2, axis=1))
+    rms = math.sqrt(np.mean(np.sum((pts - centroid) ** 2, axis=1)))
+    if not math.isfinite(rms):
+        raise DegenerateConfiguration(f"RMS radius of the points is {rms}")
+    s = math.sqrt(2.0) / rms if rms > 1e-12 else 1.0
+    return np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+
+
+def _reference_nullspace(rows):
+    """Reference: the null vector of one (m, 9) row stack, with its checks."""
+    if not np.isfinite(rows).all():
+        raise DegenerateConfiguration("constraint rows overflow")
+    try:
+        _, S, Vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < 9)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateConfiguration(f"constraint matrix SVD: {exc}") from exc
+    tol = S.max() * (max(rows.shape) * np.finfo(S.dtype).eps)
+    rank = int(np.count_nonzero(S > tol))
+    if rank < 8:
+        raise DegenerateConfiguration(f"constraint matrix rank {rank} < 8")
+    return Vt[-1].reshape(3, 3)
 
 
 def _loop_homography_rows(acs, extra_points):
@@ -133,7 +153,7 @@ def _reference_fundamental(X):
     def unit(rows):
         return rows / np.maximum(np.linalg.norm(rows, axis=-1, keepdims=True), 1e-300)
 
-    Fn = solvers._solve_nullspace(np.concatenate([epi @ K, unit(row_m @ K), unit(row_n @ K)]))
+    Fn = _reference_nullspace(np.concatenate([epi @ K, unit(row_m @ K), unit(row_n @ K)]))
     U, S, Vt = np.linalg.svd(Fn)
     Fn = U @ np.diag([S[0], S[1], 0.0]) @ Vt
     return FundamentalMatrix(T2.T @ Fn @ T1).normalized()
@@ -187,7 +207,7 @@ def _reference_homography(acs, extra_points=()):
     ) @ K
     per_ac = rows[: 6 * n_acs].reshape(n_acs, 6, 9)
     per_ac[:, 2:] = _unit_rows(per_ac[:, 2:])
-    Hn = solvers._solve_nullspace(rows)
+    Hn = _reference_nullspace(rows)
     H = np.linalg.inv(T2) @ Hn @ T1
     if abs(H[2, 2]) <= 1e-12:
         H = _largest_entry_sign_fix(H / np.linalg.norm(H))
@@ -200,6 +220,48 @@ def _solve_outcome(solve, X):
         return solve(X).matrix.tobytes()
     except Exception as exc:  # the class and message are the outcome
         return type(exc), str(exc)
+
+
+def _fundamental_failure(case, scene, X):
+    """X, six clean ac_array rows, made into a sample fundamental_from_acs
+    refuses for the named reason."""
+    if case == "too_few":
+        X = X[:2]
+    elif case == "collinear_first":
+        X[:, 1] = 240.0
+    elif case == "collinear_second":
+        X[:, 2] = 3.0 * X[:, 3] - 7.0
+    elif case == "shared_point":
+        X[:, 0:2] = X[0, 0:2]
+    elif case == "single_plane":
+        X = ac_array([ac_on_plane(scene, 0, p) for p in [(150.0, 120.0), (480.0, 150.0),
+                                                         (320.0, 360.0)]])
+    elif case == "rms_overflow_first":
+        X[:, 0] *= 1e305
+    elif case == "rms_overflow_second":
+        X[:, 3] *= 1e305
+    elif case == "centroid_overflow":  # the sum of the x2 overflows: centred points are inf
+        X[:, 2] = 1.5e308
+    else:  # a finite RMS radius, but the epipolar products overflow
+        X[:, 0:4] = 1e155 + 1e141 * X[:, 0:4]
+    return X
+
+
+def _batch_outcomes(S):
+    """fundamental_batch's outcome per sample, in _solve_outcome's form."""
+    F, faults = solvers.fundamental_batch(S)
+    assert F.shape == (len(S), 3, 3) and len(faults) == len(S)
+    return [(DegenerateConfiguration, fault) if fault else FundamentalMatrix(f).matrix.tobytes()
+            for f, fault in zip(F, faults)]
+
+
+def _named_image(case, outcome):
+    """The reference's outcome, with the image named in an RMS overflow
+    message as the solvers now name it."""
+    if not case.startswith(("rms_overflow", "centroid_overflow")):
+        return outcome
+    which = "second" if case == "centroid_overflow" else case.rsplit("_", 1)[1]
+    return outcome[0], outcome[1].replace("points is", f"points in the {which} image is")
 
 
 def _loop_decompose(E, pairs, K1, K2):
@@ -337,30 +399,13 @@ class TestFundamentalFromAcs:
     @pytest.mark.parametrize(
         "case",
         ["too_few", "collinear_first", "collinear_second", "shared_point", "single_plane",
-         "rms_overflow_first", "rms_overflow_second", "rows_overflow"],
+         "rms_overflow_first", "rms_overflow_second", "centroid_overflow", "rows_overflow"],
     )
     def test_failures_match_reference(self, scene, clean_acs, case):
-        X = ac_array(clean_acs[0][:6])
-        if case == "too_few":
-            X = X[:2]
-        elif case == "collinear_first":
-            X[:, 1] = 240.0
-        elif case == "collinear_second":
-            X[:, 2] = 3.0 * X[:, 3] - 7.0
-        elif case == "shared_point":
-            X[:, 0:2] = X[0, 0:2]
-        elif case == "single_plane":
-            X = ac_array([ac_on_plane(scene, 0, p) for p in [(150.0, 120.0), (480.0, 150.0),
-                                                             (320.0, 360.0)]])
-        elif case == "rms_overflow_first":
-            X[:, 0] *= 1e305
-        elif case == "rms_overflow_second":
-            X[:, 3] *= 1e305
-        else:  # a finite RMS radius, but the epipolar products overflow
-            X[:, 0:4] = 1e155 + 1e141 * X[:, 0:4]
+        X = _fundamental_failure(case, scene, ac_array(clean_acs[0][:6]))
         outcome = _solve_outcome(fundamental_from_acs, X)
         assert not isinstance(outcome, bytes)
-        assert outcome == _solve_outcome(_reference_fundamental, X)
+        assert outcome == _named_image(case, _solve_outcome(_reference_fundamental, X))
 
     def test_returned_model_fits_clean_acs(self, clean_acs):
         acs, _ = clean_acs
@@ -369,6 +414,115 @@ class TestFundamentalFromAcs:
             assert sampson_point(ac.p1, ac.p2, F) <= 1e-16
             sa1, sa2 = sampson_affine(ac, F)
             assert sa1 <= 1e-12 and sa2 <= 1e-12
+
+
+class TestFundamentalBatch:
+    """fundamental_batch solves a block of samples in one stacked pass; each
+    sample's outcome must be that of fundamental_from_acs, bit for bit."""
+
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_matches_single_solves_bit_for_bit(self, scene, m):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        samples = models = 0
+        for seed, B in enumerate([1, 2, 7, 16, 32, 64, 64, 64, 100, 64]):
+            X = ac_array(sample_acs(generate_scene(seed=60 + seed, n_planes=3), 200, noise,
+                                    seed=seed)[0])
+            rng = np.random.default_rng(seed)
+            S = X[np.array([rng.choice(len(X), size=m, replace=False) for _ in range(B)])]
+            for sample, outcome in zip(S, _batch_outcomes(S)):
+                assert outcome == _solve_outcome(fundamental_from_acs, sample)
+                if isinstance(outcome, bytes):
+                    assert outcome == _solve_outcome(_reference_fundamental, sample)
+                samples += 1
+                models += isinstance(outcome, bytes)
+        assert samples >= 400 and models >= 0.9 * samples
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the single solves
+    @pytest.mark.parametrize(
+        "case",
+        ["collinear_first", "collinear_second", "shared_point", "single_plane",
+         "rms_overflow_first", "rms_overflow_second", "centroid_overflow", "rows_overflow"],
+    )
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_failure_inside_a_block_of_good_samples(self, scene, clean_acs, monkeypatch, case,
+                                                    position):
+        # Every refusal of test_failures_match_reference but too_few: a block
+        # holds samples of one size m >= 3, and the count check stays in
+        # fundamental_from_acs.
+        X = ac_array(clean_acs[0])
+        bad = _fundamental_failure(case, scene, X[:6].copy())
+        rng = np.random.default_rng(position)
+        good = (X[rng.choice(len(X), size=len(bad), replace=False)] for _ in range(100))
+        S = np.array([s for s in good if isinstance(_solve_outcome(fundamental_from_acs, s), bytes)][:7])
+        S[position] = bad
+        svd, unsafe = np.linalg.svd, []
+
+        def checking_svd(a, *args, **kwargs):  # an SVD can hang on non-finite entries
+            if not np.isfinite(a).all():
+                unsafe.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", checking_svd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the stacked pass warns of nothing
+            outcomes = _batch_outcomes(S)
+        assert not unsafe  # a flagged sample's non-finite entries are masked
+        for i, (sample, outcome) in enumerate(zip(S, outcomes)):
+            assert outcome == _solve_outcome(fundamental_from_acs, sample)
+            assert isinstance(outcome, bytes) == (i != position)
+
+    @pytest.mark.parametrize("failing", ["collinearity", "nullspace", "rank2"])
+    def test_stacked_svd_failure_falls_back_to_single_solves(self, scene, monkeypatch, failing):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        X = ac_array(sample_acs(scene, 200, noise, seed=3)[0])
+        rng = np.random.default_rng(3)
+        S = X[np.array([rng.choice(len(X), size=3, replace=False) for _ in range(32)])]
+        S[5, :, 0:2] = S[5, 0, 0:2]  # a degenerate sample among good ones
+        expected = _batch_outcomes(S)
+        svd, shapes = np.linalg.svd, {"collinearity": 4, "nullspace": 9, "rank2": 3}
+        raised = []
+
+        def stacked_svd_fails(a, *args, **kwargs):
+            kind = a.ndim if a.ndim == 4 else a.shape[-1]
+            if len(a) > 1 and kind == shapes[failing]:
+                raised.append(a.shape)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", stacked_svd_fails)
+        assert _batch_outcomes(S) == expected
+        assert raised
+
+    def test_sample_whose_svd_fails_is_flagged_like_the_single_solve(self, scene, monkeypatch):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        X = ac_array(sample_acs(scene, 200, noise, seed=4)[0])
+        rng = np.random.default_rng(4)
+        S = X[np.array([rng.choice(len(X), size=3, replace=False) for _ in range(16)])]
+        svd, rows = np.linalg.svd, []
+
+        def capture(a, *args, **kwargs):
+            if a.shape[-1] == 9:
+                rows.append(a.copy())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", capture)
+        fundamental_from_acs(S[9])
+        poisoned = rows[-1]
+
+        def fails_on_sample_9(a, *args, **kwargs):
+            if a.shape[-1] == 9 and (len(a) > 1 or np.array_equal(a, poisoned)):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_on_sample_9)
+        outcomes = _batch_outcomes(S)
+        single = _solve_outcome(fundamental_from_acs, S[9])
+        assert single == (DegenerateConfiguration, "constraint matrix SVD: SVD did not converge")
+        assert outcomes[9] == single
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for i, (sample, outcome) in enumerate(zip(S, outcomes)):
+            if i != 9:
+                assert outcome == _solve_outcome(fundamental_from_acs, sample)
 
 
 class TestHomographyFromAcs:
@@ -433,7 +587,7 @@ class TestHomographyFromAcs:
         solve = solvers._solve_nullspace
 
         def spy(rows):
-            captured.append(rows)
+            captured.append(rows[0])
             return solve(rows)
 
         monkeypatch.setattr(solvers, "_solve_nullspace", spy)
@@ -493,7 +647,7 @@ class TestHomographyFromAcs:
             extra = [((1.0, 2.0), (np.inf, 1.0)), ((np.nan, 6.0), (7.0, 8.0))]
         outcome = _solve_outcome(lambda X: homography_from_acs(X, extra), X)
         assert not isinstance(outcome, bytes)
-        assert outcome == _solve_outcome(lambda X: _reference_homography(X, extra), X)
+        assert outcome == _named_image(case, _solve_outcome(lambda X: _reference_homography(X, extra), X))
         if case.startswith("nonfinite"):
             assert outcome[0] is InvalidValue
 

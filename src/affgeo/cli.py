@@ -3,8 +3,9 @@ gt-affine.
 
 Every command is a single process and its stdout plus written files are a
 pure function of the flags and the seed; wall-clock timing goes to stderr.
-Exit codes (EXIT_CODES): 0 ok, 2 input error, 3 data error, 4 estimation
-failure, 5 insufficient data. Angle-valued flags are in degrees.
+Exit codes (EXIT_CODES): 0 ok, 2 input error, 3 data error (and an input too
+large for the memory available, MemoryError), 4 estimation failure, 5
+insufficient data. Angle-valued flags are in degrees.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ EXIT_CODES = {
     InvalidArgument: 2, FileFormatError: 2, OSError: 2, UnicodeDecodeError: 2,
     NoModelFound: 4, CheiralityAmbiguity: 4,
     TooFewCorrespondences: 5,
-    AffgeoError: 3,
+    AffgeoError: 3, MemoryError: 3,
 }
 
 
@@ -412,8 +413,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         return args.func(args)
-    except (AffgeoError, OSError, UnicodeDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except tuple(EXIT_CODES) as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")  # a bare MemoryError is blank
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
     finally:
         elapsed_ms = (time.perf_counter() - start) * 1e3

@@ -65,12 +65,16 @@ class FundamentalMatrix:
 # The batch helpers broadcast over trailing point axes; the scalar spec
 # operations below call them with 0-d inputs. They are also what the robust
 # estimator scores hypotheses with, so there is exactly one implementation of
-# the constraint algebra.
+# the constraint algebra. The epipolar terms also take a (B, 3, 3) stack of
+# matrices and then give (B, N) terms for N points.
 
 def epipolar_terms(x1, y1, x2, y2, F) -> tuple[FloatArray, ...]:
     """Z0..Z4: the epipolar residual and its four coordinate gradients."""
-    f = as_mat3(F)
-    (f11, f12, f13), (f21, f22, f23), (f31, f32, f33) = f
+    f = getattr(F, "matrix", F)
+    if np.ndim(f) == 3:  # each entry a (B, 1) column
+        f11, f12, f13, f21, f22, f23, f31, f32, f33 = f.reshape(-1, 9, 1).swapaxes(0, 1)
+    else:
+        (f11, f12, f13), (f21, f22, f23), (f31, f32, f33) = as_mat3(f)
     z1 = f31 + f11 * x2 + f21 * y2
     z2 = f32 + f12 * x2 + f22 * y2
     z3 = f13 + f11 * x1 + f12 * y1
@@ -101,7 +105,8 @@ def affine_terms(x1, y1, x2, y2, a11, a12, a21, a22, F):
 
 
 def sampson_point_batch(x1, y1, x2, y2, F) -> FloatArray:
-    """Vectorised point Sampson distance; +inf where the gradient vanishes."""
+    """Vectorised point Sampson distance, per point or, for a (B, 3, 3) stack
+    of F, per matrix and point; +inf where the gradient vanishes."""
     z0, z1, z2, z3, z4 = epipolar_terms(x1, y1, x2, y2, F)
     den = z1 * z1 + z2 * z2 + z3 * z3 + z4 * z4
     num = z0 * z0

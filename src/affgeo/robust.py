@@ -7,9 +7,9 @@ truncated score asc, hypothesis index asc), which makes the outcome a pure
 function of the inputs and the seed. The affine terms only break ties
 between equal counts, so they are computed only for hypotheses whose count can
 tie or beat the best one, and for LO refits. Both estimators run the same loop
-(_LoRansac), which draws minimal samples in blocks; each supplies only its
-minimal solve (ransac_fundamental's solves a block in one stacked pass),
-residuals and LO refit.
+(_LoRansac), which draws minimal samples in blocks and solves and counts each
+block in one stacked pass; each estimator supplies only its block solve
+(fundamental_batch, homography_batch), its stacked residuals and its LO refit.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .solvers import (
     essential_from_fundamental,
     fundamental_batch,
     fundamental_from_acs,
+    homography_batch,
     homography_from_acs,
 )
 
@@ -94,8 +95,9 @@ DEGENERATE_DRAW_LIMIT = 500
 # What a minimal solve or an LO refit raises on a degenerate draw.
 DEGENERATE = (DegenerateConfiguration, TooFewCorrespondences)
 
-# Minimal samples drawn per block: BLOCK_START, then twice the last up to BLOCK_CAP.
-BLOCK_START, BLOCK_CAP = 16, 64
+# Minimal samples drawn per block: BLOCK_START, then twice the last up to BLOCK_CAP,
+# and no more than keeps a block's (B, N) distances within SCORED_PER_BLOCK entries.
+BLOCK_START, BLOCK_CAP, SCORED_PER_BLOCK = 16, 64, 1 << 21
 
 
 def adaptive_iteration_bound(
@@ -115,34 +117,39 @@ def adaptive_iteration_bound(
 class _LoRansac:
     """The seeded LO-RANSAC loop that both estimators share.
 
-    The estimator iterates over samples(), which draws the minimal samples in
-    blocks and yields each sample, or what the estimator's solve(block) made
-    of it, and passes every model it gets to offer(). offer() scores the model
-    against all correspondences, ranks it by (inlier count desc, truncated
-    total asc, iteration asc), runs up to 16 local-optimisation refits over
-    the inlier set while they improve, and tightens the adaptive bound that
-    ends samples(). distance(model) returns the squared distance the
-    threshold applies to; scores(model, distance) returns the
-    per-correspondence scores whose truncated sum is the total, and is called
-    only when that total can matter. refit(mask) solves from the inliers and
-    may raise one of the DEGENERATE exceptions; the estimator calls skip()
-    for a minimal sample whose solve was degenerate.
+    run() draws the minimal samples in blocks and takes each block through
+    one stacked pass: solve(block) maps a (B, sample_size) index array to B
+    matrices and per sample None or the message of its degenerate solve, and
+    distance(stack) maps a (G, 3, 3) stack to the (G, points) squared
+    distances that the threshold applies to. Every unflagged sample's inlier count comes
+    from that one pass. The block is then walked in draw order: a flagged
+    sample only counts as degenerate, and a hypothesis whose count cannot tie
+    or beat the best one only takes up its iteration. The others become
+    model(matrix) and are ranked by (inlier count desc, truncated total asc,
+    iteration asc); scores(model, d2) returns the per-correspondence scores
+    whose truncated sum is the total. A new best runs up to 16 local
+    optimisation refits, refit(mask), over its inlier set while they improve
+    (a refit may raise one of the DEGENERATE exceptions), and tightens the
+    adaptive bound. Whatever a block holds past the stop is dropped.
 
     The benchmark's tracer (bench/tracing.py) tells a minimal solve from an
-    LO refit by the solver's calling code object, so ransac_homography's own
-    body solves its minimal samples; minimal F samples go through the module
-    global fundamental_batch, and fundamental_from_acs only refits.
+    LO refit by the solver's calling code object: minimal samples go through
+    the module globals fundamental_batch and homography_batch, so
+    fundamental_from_acs and homography_from_acs only refit, from offer().
     TestTracerSeam in tests/test_robust.py pins both.
     """
 
-    def __init__(self, cfg: RansacConfig, sample_size: int, population: int,
-                 distance, scores, refit):
+    def __init__(self, cfg: RansacConfig, sample_size: int, population: int, points: int,
+                 solve, distance, model, scores, refit):
         if population < sample_size:
             raise TooFewCorrespondences(f"need >= {sample_size} ACs, got {population}")
         self.cfg = cfg
         self.sample_size = sample_size
         self.population = population
+        self.block_cap = max(1, min(BLOCK_CAP, SCORED_PER_BLOCK // points))
+        self.solve = solve
         self.distance = distance
+        self.model = model
         self.scores = scores
         self.refit = refit
         self.thr2 = cfg.threshold * cfg.threshold
@@ -151,46 +158,52 @@ class _LoRansac:
         self.degenerate_run = 0  # draws in a row whose minimal solve raised, with no model
         self.best = None  # (key, model, mask)
 
-    def samples(self, solve=lambda block: block):
-        """One item per minimal sample, in draw order, until the adaptive bound
-        or until DEGENERATE_DRAW_LIMIT draws in a row were degenerate. solve
-        maps each block of samples, a (B, sample_size) index array no longer
-        than the bound leaves, to B items (by default the index arrays); the
-        items of a block past the stop are dropped."""
+    def _going(self) -> bool:
+        return self.iterations < self.bound and self.degenerate_run < DEGENERATE_DRAW_LIMIT
+
+    def run(self) -> RobustEstimate:
+        """Draw, solve and count block by block until the adaptive bound or
+        until DEGENERATE_DRAW_LIMIT draws in a row were degenerate. A block
+        holds BLOCK_START samples, then twice the last up to the block cap, and
+        never more than the bound leaves."""
         rng = np.random.default_rng(self.cfg.seed)
-        size, left = BLOCK_START, 0
-        while self.iterations < self.bound and self.degenerate_run < DEGENERATE_DRAW_LIMIT:
-            if not left:
-                left = min(size, self.bound - self.iterations)
-                block = [rng.choice(self.population, size=self.sample_size, replace=False)
-                         for _ in range(left)]
-                items = iter(solve(np.array(block)))
-                size = min(2 * size, BLOCK_CAP)
-            left -= 1
-            self.iterations += 1
-            yield next(items)
+        size = min(BLOCK_START, self.block_cap)
+        while self._going():
+            block = [rng.choice(self.population, size=self.sample_size, replace=False)
+                     for _ in range(min(size, self.bound - self.iterations))]
+            size = min(2 * size, self.block_cap)
+            matrices, faults = self.solve(np.array(block))
+            stack = matrices[[fault is None for fault in faults]]
+            d2 = self.distance(stack)
+            hypotheses = zip(stack, d2, np.count_nonzero(d2 <= self.thr2, axis=1).tolist())
+            for fault in faults:
+                if not self._going():
+                    break
+                self.iterations += 1
+                if fault is None:
+                    self.offer(*next(hypotheses))
+                elif self.best is None:
+                    self.degenerate_run += 1
+        return self.result()
 
-    def skip(self) -> None:
-        """Record that the current draw's minimal solve was degenerate."""
-        if self.best is None:
-            self.degenerate_run += 1
-
-    def _support(self, model, floor: int = 0):
-        """Inlier mask, count and truncated total; a count below floor cannot
-        rank, so its scores are not computed and its total is +inf."""
-        d2 = self.distance(model)
+    def _support(self, model):
+        """An LO refit's inlier mask, count and truncated total."""
+        d2 = self.distance(model.matrix[None])[0]
         mask = d2 <= self.thr2
-        count = int(np.sum(mask))
-        if count < floor:
-            return mask, count, math.inf
-        return mask, count, float(np.sum(np.fmin(self.scores(model, d2), self.thr2)))
+        return mask, int(np.count_nonzero(mask)), self._total(model, d2)
 
-    def offer(self, model) -> None:
+    def _total(self, model, d2) -> float:
+        return float(np.sum(np.fmin(self.scores(model, d2), self.thr2)))
+
+    def offer(self, matrix, d2, count: int) -> None:
+        """Rank a minimal sample's hypothesis from its squared distances d2
+        and its inlier count."""
         self.degenerate_run = 0
         floor = max(self.sample_size, -self.best[0][0]) if self.best else self.sample_size
-        mask, count, total = self._support(model, floor)
         if count < floor:
             return
+        model = self.model(matrix.copy())  # a copy: a kept model does not pin its block
+        mask, total = d2 <= self.thr2, self._total(model, d2)
         if self.best is not None and (-count, total, self.iterations) >= self.best[0]:
             return
         if self.cfg.lo_enabled:
@@ -239,23 +252,14 @@ def ransac_fundamental(
     """Robust fundamental matrix from ACs or ac_array rows (minimal sample: 3)."""
     X = ac_array(acs)
     columns = np.ascontiguousarray(X.T)  # strided column views score slower
-    loop = _LoRansac(
-        cfg, 3, len(X),
-        distance=lambda F: sampson_point_batch(*columns[:4], F.matrix),
+    return _LoRansac(
+        cfg, 3, len(X), len(X),
+        solve=lambda block: fundamental_batch(X[block]),
+        distance=lambda F: sampson_point_batch(*columns[:4], F),
+        model=FundamentalMatrix,
         scores=lambda F, sp: _fundamental_scores(columns, F.matrix, sp, cfg.affine_weight),
         refit=lambda mask: fundamental_from_acs(X[mask]),
-    )
-
-    def solve(block):  # models only for the samples the loop takes, each its own copy
-        F, faults = fundamental_batch(X[block])  # so that a kept model does not pin the block
-        return (None if fault else FundamentalMatrix(f.copy()) for f, fault in zip(F, faults))
-
-    for model in loop.samples(solve):
-        if model is None:
-            loop.skip()
-        else:
-            loop.offer(model)
-    return loop.result()
+    ).run()
 
 
 def ransac_pose(
@@ -274,15 +278,18 @@ def ransac_pose(
     return pose, estimate
 
 
-def _homography_residuals(H: Homography, pts1h: np.ndarray, pts2h: np.ndarray) -> np.ndarray:
-    """Squared symmetric transfer error per correspondence; +inf at infinity."""
-    fwd = pts1h @ H.matrix.T
-    bwd = pts2h @ np.linalg.inv(H.matrix).T
-    ok = (np.abs(fwd[:, 2]) > 1e-12) & (np.abs(bwd[:, 2]) > 1e-12)
+def _homography_residuals(H: np.ndarray, pts1h: np.ndarray, pts2h: np.ndarray) -> np.ndarray:
+    """Squared symmetric transfer error of each H in a (..., 3, 3) stack per
+    correspondence, shape (..., N); +inf at infinity."""
+    fwd = pts1h @ H.swapaxes(-1, -2)
+    bwd = pts2h @ np.linalg.inv(H).swapaxes(-1, -2)
+    # one (..., N) plane per coordinate: numpy loops over an axis of 2 or 3 slowly
+    (fx, fy, fz), (bx, by, bz) = np.moveaxis(fwd, -1, 0), np.moveaxis(bwd, -1, 0)
+    ok = (np.abs(fz) > 1e-12) & (np.abs(bz) > 1e-12)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # rows at infinity
-        df = fwd[:, :2] / fwd[:, 2:3] - pts2h[:, :2]
-        db = bwd[:, :2] / bwd[:, 2:3] - pts1h[:, :2]
-        d = np.sum(df * df, axis=1) + np.sum(db * db, axis=1)
+        dfx, dfy = fx / fz - pts2h[:, 0], fy / fz - pts2h[:, 1]
+        dbx, dby = bx / bz - pts1h[:, 0], by / bz - pts1h[:, 1]
+        d = (dfx * dfx + dfy * dfy) + (dbx * dbx + dby * dby)
     return np.where(ok, d, np.inf)
 
 
@@ -301,19 +308,13 @@ def ransac_homography(
     pts1h = np.hstack([np.concatenate([X[:, 0:2], extra[:, 0:2]]), ones])
     pts2h = np.hstack([np.concatenate([X[:, 2:4], extra[:, 2:4]]), ones])
 
-    loop = _LoRansac(
-        cfg, 2, n_acs,
+    return _LoRansac(
+        cfg, 2, n_acs, len(pts1h),
+        solve=lambda block: homography_batch(X[block]),
         distance=lambda H: _homography_residuals(H, pts1h, pts2h),
+        model=Homography,
         scores=lambda H, ste2: ste2,
         refit=lambda mask: homography_from_acs(
             X[mask[:n_acs]], list(compress(extra_points, mask[n_acs:]))
         ),
-    )
-    for idx in loop.samples():
-        try:
-            model = homography_from_acs(X[idx])
-        except DEGENERATE:
-            loop.skip()
-            continue
-        loop.offer(model)
-    return loop.result()
+    ).run()

@@ -146,6 +146,7 @@ def _similarities(P: FloatArray, faults: list | None = None):
     T = s[..., None, None] * np.eye(3)
     T[..., 0:2, 2] = -s[..., None] * centroids
     T[..., 2, 2] = 1.0
+    T[~np.isfinite(rms)] = np.eye(3)  # flagged above; keeps a stacked inverse regular
     return T[:, 0], T[:, 1], centred
 
 
@@ -228,23 +229,29 @@ def _fundamental(S: FloatArray, faults: list | None = None) -> FloatArray:
     return _largest_entry_sign_fix(F / np.sqrt(f @ f.swapaxes(1, 2)))
 
 
-def fundamental_batch(S: FloatArray) -> tuple[FloatArray, list[str | None]]:
-    """fundamental_from_acs over a (B, m, 8) block of samples, m >= 3, in one
-    stacked pass: B matrices, bit for bit, and per sample None or the message
-    it raises (the matrix is then meaningless). If a stacked SVD does not
-    converge, each sample is solved alone."""
+def _in_one_pass(solve, S: FloatArray) -> tuple[FloatArray, list[str | None]]:
+    """solve(S, faults) over a block of samples in one stacked pass: B matrices
+    and per sample None or the message its single solve raises (the matrix is
+    then meaningless). If a stacked SVD does not converge, each sample is
+    solved alone."""
     faults: list[str | None] = [None] * len(S)
     try:
         with np.errstate(all="ignore"):  # arithmetic on samples already flagged
-            return _fundamental(S, faults), faults
+            return solve(S, faults), faults
     except np.linalg.LinAlgError:
-        F, faults = np.zeros((len(S), 3, 3)), [None] * len(S)
+        M, faults = np.zeros((len(S), 3, 3)), [None] * len(S)
         for i in range(len(S)):
             try:
-                F[i] = _fundamental(S[i:i + 1])[0]
+                M[i] = solve(S[i:i + 1])[0]
             except DegenerateConfiguration as exc:
                 faults[i] = str(exc)
-        return F, faults
+        return M, faults
+
+
+def fundamental_batch(S: FloatArray) -> tuple[FloatArray, list[str | None]]:
+    """fundamental_from_acs over a (B, m, 8) block of samples, m >= 3, bit for
+    bit, in one stacked pass (see _in_one_pass)."""
+    return _in_one_pass(_fundamental, S)
 
 
 def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> FundamentalMatrix:
@@ -262,53 +269,69 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> Fu
 
 # --- homography from ACs -------------------------------------------------------
 
+def _homography(S: FloatArray, faults: list | None = None, extra=None) -> FloatArray:
+    """H of each sample in S, a (B, n, 8) stack of ac_array rows, plus extra,
+    (B, k, 4) bare point pairs x1, y1, x2, y2; faults as in _flag.
+
+    As in _fundamental, rows are built in pixel coordinates and the Hartley
+    similarities enter as an exact change of variables. Each AC contributes
+    its 2 DLT rows, then its 4 unit-normalised affine rows; the extra points'
+    DLT rows come last. H is h33-normalised and refused if singular, as
+    Homography does.
+    """
+    P = S[..., 0:4] if extra is None else np.concatenate([S[..., 0:4], extra], axis=1)
+    (B, m), n = P.shape[:2], S.shape[1]
+    T1, T2, _ = _similarities(P, faults)
+    # rows[b, i, r] is row r of point i. With p1h = (x1, y1, 1), the DLT rows are
+    # (p1h, 0, -x2 p1h) and (0, p1h, -y2 p1h). Affine row r = 2..5 of an AC has
+    # a 1 in column 0, 1, 3 or 4 and -a p1h in columns 6-8 for a = a11, a12,
+    # a21, a22, less x2 (r = 2, 3) or y2 (r = 4, 5) in column 6 or 7.
+    rows = np.zeros((B, m, 6, 9))
+    p1h = np.concatenate([P[..., 0:2], np.ones((B, m, 1))], axis=-1)
+    rows[..., 0, 0:3] = rows[..., 1, 3:6] = p1h
+    rows[..., 0:2, 6:9] = -(P[..., 2:4, None] * p1h[..., None, :])
+    rows[:, :n, 2:6, [0, 1, 3, 4]] = np.eye(4)
+    rows[:, :n, 2:6, 6:9] = -(S[..., 4:8, None] * p1h[:, :n, None, :])
+    rows[:, :n, [2, 3, 4, 5], [6, 7, 6, 7]] -= S[..., [2, 2, 3, 3]]
+    stacked = np.concatenate([rows[:, :n].reshape(B, -1, 9), rows[:, n:, 0:2].reshape(B, -1, 9)],
+                             axis=1)
+    # H = T2^{-1} Hn T1: vec_rm(H) = (T2^{-1} kron T1^T) vec_rm(Hn).
+    T2inv = np.linalg.inv(T2)
+    stacked = stacked @ _kron3(T2inv, T1.swapaxes(1, 2))
+    per_ac = stacked[:, : 6 * n].reshape(B, n, 6, 9)  # a view: the writes reach stacked
+    per_ac[:, :, 2:] = _unit_rows(per_ac[:, :, 2:])
+    H = T2inv @ _solve_nullspace(stacked, faults) @ T1
+    far = np.abs(H[:, 2, 2]) <= 1e-12
+    if far.any():  # h33 cannot scale these: unit norm, largest entry positive
+        h = H[far].reshape(-1, 1, 9)
+        H[far] = _largest_entry_sign_fix(H[far] / np.sqrt(h @ h.swapaxes(1, 2)))
+    H = H / np.where(np.abs(H[:, 2, 2]) > 1e-12, H[:, 2, 2], 1.0)[:, None, None]
+    det = np.linalg.det(H)
+    _flag(faults, np.abs(det) <= 1e-12, lambda i: f"homography is singular, det = {det[i]:.3e}")
+    return H
+
+
+def homography_batch(S: FloatArray) -> tuple[FloatArray, list[str | None]]:
+    """homography_from_acs over a (B, n, 8) block of samples, bit for bit, in
+    one stacked pass (see _in_one_pass)."""
+    return _in_one_pass(_homography, S)
+
+
 def homography_from_acs(
     acs: Sequence[AffineCorrespondence] | FloatArray,
     extra_points: Sequence[tuple] = (),
 ) -> Homography:
     """Homography from ACs (6 equations each; objects or ac_array rows) plus
     optional bare point pairs (2 DLT equations each); needs >= 8 constraints
-    in total.
-
-    As in fundamental_from_acs, rows are built in pixel coordinates and the
-    Hartley similarities enter as an exact change of variables. Each AC
-    contributes its 2 DLT rows, then its 4 unit-normalised affine rows; the
-    extra points' DLT rows come last.
+    in total. The rows and their solve are described in _homography.
     """
     X = ac_array(acs)
-    n = len(X)
-    n_constraints = 6 * n + 2 * len(extra_points)
+    n_constraints = 6 * len(X) + 2 * len(extra_points)
     if n_constraints < 8:
         raise TooFewCorrespondences(f"{n_constraints} constraints < 8")
-    P = X[:, 0:4]
-    if len(extra_points):
-        p1 = np.reshape([as_vec2(p) for p, _ in extra_points], (-1, 2))
-        p2 = np.reshape([as_vec2(q) for _, q in extra_points], (-1, 2))
-        P = np.concatenate([P, np.hstack([p1, p2])])
-    T1, T2, _ = (T[0] for T in _similarities(P[None]))
-    # rows[i, r] is row r of point i. With p1h = (x1, y1, 1), the DLT rows are
-    # (p1h, 0, -x2 p1h) and (0, p1h, -y2 p1h). Affine row r = 2..5 of an AC has
-    # a 1 in column 0, 1, 3 or 4 and -a p1h in columns 6-8 for a = a11, a12,
-    # a21, a22, less x2 (r = 2, 3) or y2 (r = 4, 5) in column 6 or 7.
-    rows = np.zeros((len(P), 6, 9))
-    p1h = np.hstack([P[:, 0:2], np.ones((len(P), 1))])
-    rows[:, 0, 0:3] = rows[:, 1, 3:6] = p1h
-    rows[:, 0:2, 6:9] = -(P[:, 2:4, None] * p1h[:, None, :])
-    rows[:n, 2:6, [0, 1, 3, 4]] = np.eye(4)
-    rows[:n, 2:6, 6:9] = -(X[:, 4:8, None] * p1h[:n, None, :])
-    rows[:n, [2, 3, 4, 5], [6, 7, 6, 7]] -= X[:, [2, 2, 3, 3]]
-    stacked = rows[:n].reshape(-1, 9)
-    if len(extra_points):
-        stacked = np.concatenate([stacked, rows[n:, 0:2].reshape(-1, 9)])
-    # H = T2^{-1} Hn T1: vec_rm(H) = (T2^{-1} kron T1^T) vec_rm(Hn).
-    T2inv = np.linalg.inv(T2)
-    stacked = stacked @ _kron3(T2inv, T1.T)
-    per_ac = stacked[: 6 * n].reshape(n, 6, 9)  # a view: the writes reach stacked
-    per_ac[:, 2:] = _unit_rows(per_ac[:, 2:])
-    H = T2inv @ _solve_nullspace(stacked[None])[0] @ T1
-    if abs(H[2, 2]) <= 1e-12:
-        H = _largest_entry_sign_fix(H / np.linalg.norm(H))
-    return Homography(H)
+    p1 = np.reshape([as_vec2(p) for p, _ in extra_points], (-1, 2))
+    p2 = np.reshape([as_vec2(q) for _, q in extra_points], (-1, 2))
+    return Homography(_homography(X[None], extra=np.hstack([p1, p2])[None])[0])
 
 
 # --- essential matrix and pose -------------------------------------------------

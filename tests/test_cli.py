@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import textwrap
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from affgeo import AffineCorrespondence, generate_scene, sample_acs
 from affgeo.cli import main
 from affgeo.fileio import (
+    AC_HEADER,
     parse_report,
     read_acs,
     read_labels,
@@ -269,6 +271,34 @@ class TestEstimate:
         code, _, _ = run_cli(["estimate", ac_file, "--model", "homography",
                               "--max-iterations", "30", "--out", tmp_path / "x"])
         assert code == 4
+
+    def test_input_too_large_for_memory_exit_3(self, tmp_path):
+        # The child caps its own address space 96 MB above what it holds after
+        # the imports, so the 126 MB AC file cannot even be read: a data
+        # error, reported on one line with no traceback.
+        ac_file = tmp_path / "big.csv"
+        row = "100.5,200.25,110.75,190.125,1.0625,0.03125,-0.015625,0.96875\n"
+        ac_file.write_text(AC_HEADER + "\n" + row * 2_000_000)
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            from affgeo.cli import main
+            held = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+            resource.setrlimit(resource.RLIMIT_AS, (held + (96 << 20), held + (96 << 20)))
+            sys.exit(main(sys.argv[1:]))
+            """
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "estimate", str(ac_file), "--model", "homography",
+             "--out", str(tmp_path / "x")],
+            env=cli_env(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert _error_lines(proc.stderr) == ["error: out of memory"]
+        assert "Traceback" not in proc.stderr
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("model", ["fundamental", "essential"])
     def test_single_plane_stops_on_degenerate_draws(self, tmp_path, capsys, model):

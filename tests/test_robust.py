@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from affgeo import (
 )
 from affgeo.errors import NoModelFound, TooFewCorrespondences
 from affgeo.metrics import pose_error
-from affgeo.residuals import sampson_point_batch
+from affgeo.residuals import FundamentalMatrix, sampson_point_batch
 
 from conftest import cli_env, planar_scene
 
@@ -138,28 +139,101 @@ class TestRansacFundamental:
         assert adaptive_iteration_bound(1e-9, 0.99, 3, 500) == 500
 
 
+class _ReferenceLoRansac:
+    """Reference: the LO-RANSAC loop as it was before blocks of samples were
+    solved and counted in one pass. It draws, solves and scores one sample at
+    a time; solve(idx) may raise one of robust.DEGENERATE."""
+
+    def __init__(self, cfg, sample_size, population, distance, scores, refit):
+        if population < sample_size:
+            raise TooFewCorrespondences(f"need >= {sample_size} ACs, got {population}")
+        self.cfg, self.sample_size, self.population = cfg, sample_size, population
+        self.distance, self.scores, self.refit = distance, scores, refit
+        self.thr2 = cfg.threshold * cfg.threshold
+        self.bound = cfg.max_iterations
+        self.iterations = self.degenerate_run = 0
+        self.best = None
+
+    def _support(self, model, floor=0):
+        d2 = self.distance(model)
+        mask = d2 <= self.thr2
+        count = int(np.sum(mask))
+        if count < floor:
+            return mask, count, math.inf
+        return mask, count, float(np.sum(np.fmin(self.scores(model, d2), self.thr2)))
+
+    def offer(self, model):
+        self.degenerate_run = 0
+        floor = max(self.sample_size, -self.best[0][0]) if self.best else self.sample_size
+        mask, count, total = self._support(model, floor)
+        if count < floor:
+            return
+        if self.best is not None and (-count, total, self.iterations) >= self.best[0]:
+            return
+        if self.cfg.lo_enabled:
+            for _ in range(16):
+                try:
+                    candidate = self.refit(mask)
+                except robust.DEGENERATE:
+                    break
+                new_mask, new_count, new_total = self._support(candidate)
+                if (-new_count, new_total) >= (-count, total):
+                    break
+                model, mask, count, total = candidate, new_mask, new_count, new_total
+        self.best = ((-count, total, self.iterations), model, mask)
+        self.bound = min(self.bound, adaptive_iteration_bound(
+            count / mask.size, self.cfg.confidence, self.sample_size, self.cfg.max_iterations))
+
+    def run(self, solve):
+        rng = np.random.default_rng(self.cfg.seed)
+        while self.iterations < self.bound and self.degenerate_run < robust.DEGENERATE_DRAW_LIMIT:
+            self.iterations += 1
+            idx = rng.choice(self.population, size=self.sample_size, replace=False)
+            try:
+                model = solve(idx)
+            except robust.DEGENERATE:
+                self.degenerate_run += self.best is None
+                continue
+            self.offer(model)
+        if self.best is None:
+            cause = (f"the sampler stopped on {self.degenerate_run} consecutive degenerate draws"
+                     if self.degenerate_run >= robust.DEGENERATE_DRAW_LIMIT
+                     else f"no hypothesis reached {self.sample_size} inliers")
+            raise NoModelFound(f"{cause} in {self.iterations} iterations")
+        (_, total, _), model, mask = self.best
+        return robust.RobustEstimate(model=model, inlier_mask=mask,
+                                     iterations_run=self.iterations, score=total)
+
+
 def _reference_ransac_fundamental(acs, cfg):
-    """Reference: ransac_fundamental as it was before block sampling, drawing
-    one sample at a time and calling fundamental_from_acs on it."""
+    """Reference: ransac_fundamental as it was before block sampling, calling
+    fundamental_from_acs on each sample and scoring each model on its own."""
     X = ac_array(acs)
     columns = np.ascontiguousarray(X.T)
-    loop = robust._LoRansac(
+    return _ReferenceLoRansac(
         cfg, 3, len(X),
         distance=lambda F: sampson_point_batch(*columns[:4], F.matrix),
         scores=lambda F, sp: robust._fundamental_scores(columns, F.matrix, sp, cfg.affine_weight),
         refit=lambda mask: fundamental_from_acs(X[mask]),
-    )
-    rng = np.random.default_rng(cfg.seed)
-    while loop.iterations < loop.bound and loop.degenerate_run < robust.DEGENERATE_DRAW_LIMIT:
-        loop.iterations += 1
-        idx = rng.choice(len(X), size=3, replace=False)
-        try:
-            model = fundamental_from_acs(X[idx])
-        except robust.DEGENERATE:
-            loop.skip()
-            continue
-        loop.offer(model)
-    return loop.result()
+    ).run(lambda idx: fundamental_from_acs(X[idx]))
+
+
+def _reference_ransac_homography(acs, extra_points, cfg):
+    """Reference: ransac_homography as it was before block sampling, calling
+    homography_from_acs on each sample and scoring each model on its own."""
+    X = ac_array(acs)
+    n_acs = len(X)
+    extra = np.asarray(extra_points, dtype=np.float64).reshape(-1, 4)
+    ones = np.ones((n_acs + len(extra), 1))
+    pts1h = np.hstack([np.concatenate([X[:, 0:2], extra[:, 0:2]]), ones])
+    pts2h = np.hstack([np.concatenate([X[:, 2:4], extra[:, 2:4]]), ones])
+    return _ReferenceLoRansac(
+        cfg, 2, n_acs,
+        distance=lambda H: _reference_homography_residuals(H, pts1h, pts2h),
+        scores=lambda H, ste2: ste2,
+        refit=lambda mask: homography_from_acs(
+            X[mask[:n_acs]], list(compress(extra_points, mask[n_acs:]))),
+    ).run(lambda idx: homography_from_acs(X[idx]))
 
 
 def _estimate_outcome(estimate, *args):
@@ -170,6 +244,18 @@ def _estimate_outcome(estimate, *args):
         return type(exc), str(exc)
     return (est.model.matrix.tobytes(), est.inlier_mask.tobytes(), est.iterations_run,
             est.score)
+
+
+def _homography_cases():
+    """(planar scene seed, ACs, outlier fraction, extra point pairs, config)
+    for the homography block-sampling oracle."""
+    cases = [(s, 300, 0.4, 0, RansacConfig(seed=s)) for s in range(8)]
+    cases += [(8 + s, 100, 0.6, 0, RansacConfig(seed=s, threshold=1.0)) for s in range(3)]
+    cases += [(11 + s, 300, 0.4, 0, RansacConfig(seed=s, lo_enabled=False)) for s in range(3)]
+    cases += [(14 + i, 300, 0.5, 0, RansacConfig(seed=i, max_iterations=m))
+              for i, m in enumerate([1, 5, 37])]
+    cases += [(17 + s, 100, 0.4, 8, RansacConfig(seed=s, lo_enabled=s != 1)) for s in range(3)]
+    return cases
 
 
 def _block_sampling_cases():
@@ -203,6 +289,74 @@ class TestBlockSampling:
         assert outcome == _estimate_outcome(_reference_ransac_fundamental, acs, cfg)
         assert blocks[0] == min(robust.BLOCK_START, cfg.max_iterations)
         assert max(blocks) <= robust.BLOCK_CAP and sum(blocks) <= cfg.max_iterations
+
+    @pytest.mark.parametrize("case", range(len(_homography_cases())))
+    def test_homography_matches_per_sample_loop(self, monkeypatch, case):
+        scene_seed, n, outliers, n_extra, cfg = _homography_cases()[case]
+        acs, _ = sample_acs(planar_scene(seed=scene_seed), n + n_extra,
+                            NoiseSpec(point_sigma=0.5, outlier_fraction=outliers), seed=scene_seed)
+        extra = [(ac.p1, ac.p2) for ac in acs[n:]]
+        blocks = []
+        batch = robust.homography_batch
+        monkeypatch.setattr(robust, "homography_batch", lambda S: blocks.append(len(S)) or batch(S))
+        outcome = _estimate_outcome(ransac_homography, acs[:n], extra, cfg)
+        assert isinstance(outcome[0], bytes)
+        assert outcome == _estimate_outcome(_reference_ransac_homography, acs[:n], extra, cfg)
+        assert len(outcome[1]) == n + n_extra
+        assert blocks[0] == min(robust.BLOCK_START, cfg.max_iterations)
+        assert max(blocks) <= robust.BLOCK_CAP and sum(blocks) <= cfg.max_iterations
+
+    def test_homography_repeated_acs_mix_degenerate_and_good_draws(self, monkeypatch):
+        acs, _ = sample_acs(planar_scene(seed=40), 40,
+                            NoiseSpec(point_sigma=0.5, outlier_fraction=0.3), seed=40)
+        X = ac_array(acs)[np.random.default_rng(40).integers(0, 8, size=30)]
+        flags = []
+        batch = robust.homography_batch
+
+        def spy(S):
+            H, faults = batch(S)
+            flags.append([f is not None for f in faults])
+            return H, faults
+
+        monkeypatch.setattr(robust, "homography_batch", spy)
+        for seed in range(3):
+            cfg = RansacConfig(seed=seed)
+            outcome = _estimate_outcome(ransac_homography, X, [], cfg)
+            assert isinstance(outcome[0], bytes)
+            assert outcome == _estimate_outcome(_reference_ransac_homography, X, [], cfg)
+        assert any(0 < sum(block) < len(block) for block in flags)
+
+    def test_blocks_keep_their_distances_within_the_cap(self, monkeypatch):
+        acs, _ = sample_acs(planar_scene(seed=41), 300,
+                            NoiseSpec(point_sigma=0.5, outlier_fraction=0.4), seed=41)
+        monkeypatch.setattr(robust, "SCORED_PER_BLOCK", 1000)  # 3 samples' (3, 300) distances
+        blocks = []
+        batch = robust.homography_batch
+        monkeypatch.setattr(robust, "homography_batch", lambda S: blocks.append(len(S)) or batch(S))
+        cfg = RansacConfig(seed=41)
+        outcome = _estimate_outcome(ransac_homography, acs, [], cfg)
+        assert outcome == _estimate_outcome(_reference_ransac_homography, acs, [], cfg)
+        assert max(blocks) == 3 and len(blocks) > 1
+
+    def test_hypothesis_below_the_floor_builds_no_model(self, monkeypatch):
+        built, offers = [], []
+        monkeypatch.setattr(robust, "FundamentalMatrix",
+                            lambda M: built.append(M) or FundamentalMatrix(M))
+        offer = robust._LoRansac.offer
+
+        def spy(loop, matrix, d2, count):
+            floor = max(loop.sample_size, -loop.best[0][0]) if loop.best else loop.sample_size
+            before = len(built)
+            offer(loop, matrix, d2, count)
+            offers.append((count >= floor, len(built) - before))
+
+        monkeypatch.setattr(robust._LoRansac, "offer", spy)
+        scene = generate_scene(seed=21, n_planes=3)
+        acs, _ = sample_acs(scene, 200, NoiseSpec(point_sigma=0.5, outlier_fraction=0.4), seed=22)
+        est = ransac_fundamental(acs, RansacConfig(seed=23))
+        assert offers == [(reaches, int(reaches)) for reaches, _ in offers]
+        assert 0 < len(built) < sum(1 for reaches, _ in offers if not reaches)
+        assert len(offers) <= est.iterations_run
 
     def test_kept_model_does_not_pin_its_block(self):
         # without LO the best model is a minimal sample's; a view into its
@@ -266,14 +420,14 @@ class TestLazyTieBreak:
 
         loop = robust._LoRansac(
             RansacConfig(seed=0, lo_enabled=False, max_iterations=len(self.HYPOTHESES)),
-            3, 8,
-            distance=lambda i: np.array(self.HYPOTHESES[i][0]),
+            3, 8, 8,
+            solve=lambda block: (np.arange(len(block)), [None] * len(block)),
+            distance=lambda stack: np.array([self.HYPOTHESES[i][0] for i in stack]),
+            model=int,
             scores=scores,
             refit=None,
         )
-        for i, _ in enumerate(loop.samples()):
-            loop.offer(i)
-        est = loop.result()
+        est = loop.run()
         assert est.model == 1
         assert est.score == 1.0625
         assert est.inlier_mask.tolist() == [True] * 5 + [False] * 3
@@ -281,29 +435,23 @@ class TestLazyTieBreak:
         assert scored == [0, 1, 2]
 
     def test_same_estimate_as_the_eager_rule_with_fewer_affine_terms(self, monkeypatch):
-        counts = {"sampson_point_batch": 0, "sampson_affine_batch": 0}
-
-        def spy(name):
-            fn = getattr(robust, name)
-
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-
-            return wrapper
-
+        calls = []
+        affine = robust.sampson_affine_batch
+        monkeypatch.setattr(robust, "sampson_affine_batch",
+                            lambda *args: calls.append(1) or affine(*args))
         noise = NoiseSpec(point_sigma=0.5, outlier_fraction=0.4)
         scene = generate_scene(seed=21, n_planes=3)
         acs, _ = sample_acs(scene, 200, noise, seed=22)
-        for name in counts:
-            monkeypatch.setattr(robust, name, spy(name))
         lazy = ransac_fundamental(acs, RansacConfig(seed=23))
-        assert 0 < counts["sampson_affine_batch"] < counts["sampson_point_batch"]
+        lazy_calls = len(calls)
 
-        support = robust._LoRansac._support
-        monkeypatch.setattr(robust._LoRansac, "_support",
+        # the eager rule: the per-sample reference, totalling every hypothesis
+        support = _ReferenceLoRansac._support
+        monkeypatch.setattr(_ReferenceLoRansac, "_support",
                             lambda self, model, floor=0: support(self, model))
-        eager = ransac_fundamental(acs, RansacConfig(seed=23))
+        calls.clear()
+        eager = _reference_ransac_fundamental(acs, RansacConfig(seed=23))
+        assert 0 < lazy_calls < len(calls)
         assert lazy.model.matrix.tobytes() == eager.model.matrix.tobytes()
         assert lazy.inlier_mask.tobytes() == eager.inlier_mask.tobytes()
         assert (lazy.iterations_run, lazy.score) == (eager.iterations_run, eager.score)
@@ -392,7 +540,7 @@ class TestRansacHomography:
         # sends the first data point, (100, 50), to infinity
         hypotheses.append(Homography([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -100.0]]))
         for H in hypotheses:
-            d = robust._homography_residuals(H, pts1h, pts2h)
+            d = robust._homography_residuals(H.matrix, pts1h, pts2h)
             assert d.tobytes() == _reference_homography_residuals(H, pts1h, pts2h).tobytes()
         assert d[0] == np.inf and np.isfinite(d[1:]).any()
 
@@ -439,8 +587,9 @@ class TestTracerSeam:
     """The benchmark's tracer tells a minimal solve from an LO refit by the
     code object of the solver's caller: a solver called from an estimator's
     own body is a minimal solve, one called from anywhere else an LO refit.
-    Minimal F samples are solved in blocks by fundamental_batch instead, so
-    fundamental_from_acs is never called from ransac_fundamental's body."""
+    Minimal samples are solved in blocks by fundamental_batch and
+    homography_batch instead, so the single solves are called only by the LO
+    refits that _LoRansac.offer runs, never from an estimator's body."""
 
     def test_pose_refits_are_its_only_single_solves(self, monkeypatch):
         callers, samples = [], []
@@ -464,22 +613,27 @@ class TestTracerSeam:
         assert {refit_caller for _, refit_caller in callers} == {robust._LoRansac.offer.__code__}
         assert sum(samples) >= est.iterations_run
 
-    @pytest.mark.parametrize("estimator", ["homography"])  # the F case is the test above
-    def test_minimal_solves_come_from_the_estimator_body(self, monkeypatch, estimator):
-        callers = []
-        solve = robust.homography_from_acs
+    def test_homography_refits_are_its_only_single_solves(self, monkeypatch):
+        callers, samples = [], []
+        solve, batch = robust.homography_from_acs, robust.homography_batch
 
-        def spy(*args, **kwargs):
-            callers.append(sys._getframe(1).f_code)
+        def spy_solve(*args, **kwargs):
+            callers.append((sys._getframe(1).f_code, sys._getframe(2).f_code))
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(robust, "homography_from_acs", spy)
+        def spy_batch(S):
+            samples.append(len(S))
+            return batch(S)
+
+        monkeypatch.setattr(robust, "homography_from_acs", spy_solve)
+        monkeypatch.setattr(robust, "homography_batch", spy_batch)
         acs, _ = sample_acs(planar_scene(seed=12), 200,
                             NoiseSpec(point_sigma=0.5, outlier_fraction=0.4), seed=13)
         est = ransac_homography(acs, [], RansacConfig(threshold=2.0, seed=14))
-        minimal = [c for c in callers if c == ransac_homography.__code__]
-        assert len(minimal) == est.iterations_run
-        assert len(callers) > len(minimal)  # the LO refits
+        assert callers  # the LO refits
+        assert all(caller is not ransac_homography.__code__ for caller, _ in callers)
+        assert {refit_caller for _, refit_caller in callers} == {robust._LoRansac.offer.__code__}
+        assert sum(samples) >= est.iterations_run
 
 
 class TestRansacConfig:

@@ -33,9 +33,9 @@ from affgeo.errors import (
     PointAtInfinity,
     TooFewCorrespondences,
 )
-from affgeo import generate_scene, solvers
+from affgeo import generate_scene, robust, solvers
 from affgeo.core import as_vec2, homogenize
-from affgeo.residuals import FundamentalMatrix, _largest_entry_sign_fix
+from affgeo.residuals import FundamentalMatrix, _largest_entry_sign_fix, sampson_point_batch
 from affgeo.solvers import (
     RelativePose,
     _positive_depth_count,
@@ -247,12 +247,32 @@ def _fundamental_failure(case, scene, X):
     return X
 
 
-def _batch_outcomes(S):
-    """fundamental_batch's outcome per sample, in _solve_outcome's form."""
-    F, faults = solvers.fundamental_batch(S)
-    assert F.shape == (len(S), 3, 3) and len(faults) == len(S)
-    return [(DegenerateConfiguration, fault) if fault else FundamentalMatrix(f).matrix.tobytes()
-            for f, fault in zip(F, faults)]
+def _batch_outcomes(S, batch=None, model=FundamentalMatrix):
+    """The outcome per sample of a batch solve (by default fundamental_batch),
+    in _solve_outcome's form."""
+    M, faults = (batch or solvers.fundamental_batch)(S)
+    assert M.shape == (len(S), 3, 3) and len(faults) == len(S)
+    return [(DegenerateConfiguration, fault) if fault else model(m).matrix.tobytes()
+            for m, fault in zip(M, faults)]
+
+
+def _homography_failure(case, X):
+    """X, two clean ac_array rows, made into a sample homography_from_acs
+    refuses for the named reason."""
+    if case == "rms_overflow_first":
+        X[:, 0] *= 1e305
+    elif case == "rms_overflow_second":
+        X[:, 3] *= 1e305
+    elif case == "centroid_overflow":  # the sum of the x2 overflows: centred points are inf
+        X[:, 2] = 1.5e308
+    elif case == "rows_overflow":  # a finite RMS radius, but x2 * x1 overflows
+        X[:, 0:4] = 1e155 + 1e141 * X[:, 0:4]
+    elif case == "repeated_point":
+        X = X[[0, 0]]
+    else:  # singular: a warp that shrinks by 1e-7 has det 1e-14 once h33 = 1
+        X[:, 2:4] = 1e-7 * X[:, 0:2]
+        X[:, 4:8] = [1e-7, 0.0, 0.0, 1e-7]
+    return X
 
 
 def _named_image(case, outcome):
@@ -586,9 +606,9 @@ class TestHomographyFromAcs:
         captured = []
         solve = solvers._solve_nullspace
 
-        def spy(rows):
+        def spy(rows, *rest):
             captured.append(rows[0])
-            return solve(rows)
+            return solve(rows, *rest)
 
         monkeypatch.setattr(solvers, "_solve_nullspace", spy)
         for seed in range(5):
@@ -650,6 +670,133 @@ class TestHomographyFromAcs:
         assert outcome == _named_image(case, _solve_outcome(lambda X: _reference_homography(X, extra), X))
         if case.startswith("nonfinite"):
             assert outcome[0] is InvalidValue
+
+
+class TestHomographyBatch:
+    """homography_batch solves a block of 2-AC samples in one stacked pass;
+    each sample's outcome must be that of homography_from_acs, bit for bit."""
+
+    def test_matches_single_solves_bit_for_bit(self):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        samples = models = 0
+        for seed, B in enumerate([1, 2, 7, 16, 32, 64, 64, 64, 100, 64]):
+            X = ac_array(sample_acs(planar_scene(seed=70 + seed), 200, noise, seed=seed)[0])
+            rng = np.random.default_rng(seed)
+            S = X[np.array([rng.choice(len(X), size=2, replace=False) for _ in range(B)])]
+            for sample, outcome in zip(S, _batch_outcomes(S, solvers.homography_batch, Homography)):
+                assert outcome == _solve_outcome(homography_from_acs, sample)
+                if isinstance(outcome, bytes):
+                    assert outcome == _solve_outcome(_reference_homography, sample)
+                samples += 1
+                models += isinstance(outcome, bytes)
+        assert samples >= 400 and models >= 0.9 * samples
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the single solves
+    @pytest.mark.parametrize(
+        "case",
+        ["rms_overflow_first", "rms_overflow_second", "centroid_overflow", "rows_overflow",
+         "repeated_point", "singular"],
+    )
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_failure_inside_a_block_of_good_samples(self, monkeypatch, case, position):
+        # The refusals of TestHomographyFromAcs::test_failures_match_reference
+        # that a block of 2-AC samples can hold (not too_few, no extra points),
+        # plus a singular H.
+        X = ac_array(sample_acs(planar_scene(seed=6), 40, seed=6)[0])
+        bad = _homography_failure(case, X[:2].copy())
+        rng = np.random.default_rng(position)
+        S = X[np.array([rng.choice(len(X), size=2, replace=False) for _ in range(7)])]
+        S[position] = bad
+        svd, solve, unsafe, passes = np.linalg.svd, solvers._homography, [], []
+
+        def checking_svd(a, *args, **kwargs):  # an SVD can hang on non-finite entries
+            if not np.isfinite(a).all():
+                unsafe.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", checking_svd)
+        monkeypatch.setattr(solvers, "_homography",
+                            lambda S, *rest: passes.append(len(S)) or solve(S, *rest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the stacked pass warns of nothing
+            outcomes = _batch_outcomes(S, solvers.homography_batch, Homography)
+        assert not unsafe  # a flagged sample's non-finite entries are masked
+        assert passes == [len(S)]  # one stacked pass, no per-sample fallback
+        monkeypatch.setattr(solvers, "_homography", solve)
+        for i, (sample, outcome) in enumerate(zip(S, outcomes)):
+            assert outcome == _solve_outcome(homography_from_acs, sample)
+            assert isinstance(outcome, bytes) == (i != position)
+        assert outcomes[position] == _named_image(case, _solve_outcome(_reference_homography, bad))
+        if case == "singular":
+            assert outcomes[position][1].startswith("homography is singular, det = ")
+
+    def test_h33_near_zero_inside_a_block_of_good_samples(self):
+        # a warp sending x1 = 0 to infinity: h33 cannot scale it, so it is
+        # brought to unit norm with its largest entry positive instead
+        H_far = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.01, 0.0, 0.0]])
+        far = ac_array([AffineCorrespondence(p1=p, p2=apply_homography(H_far, p),
+                                             A=gt_affine_from_homography(H_far, p))
+                        for p in [(100.0, 50.0), (200.0, 300.0)]])
+        X = ac_array(sample_acs(planar_scene(seed=7), 40, seed=7)[0])
+        S = X[np.array([np.random.default_rng(7).choice(len(X), size=2, replace=False)
+                        for _ in range(7)])]
+        S[[1, 4]] = far
+        H, faults = solvers.homography_batch(S)
+        assert faults == [None] * 7
+        assert abs(H[1, 2, 2]) <= 1e-12 and abs(H[0, 2, 2]) == 1.0
+        for sample, outcome in zip(S, _batch_outcomes(S, solvers.homography_batch, Homography)):
+            assert outcome == _solve_outcome(homography_from_acs, sample)
+            assert outcome == _solve_outcome(_reference_homography, sample)
+
+    def test_stacked_svd_failure_falls_back_to_single_solves(self, monkeypatch):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        X = ac_array(sample_acs(planar_scene(seed=3), 200, noise, seed=3)[0])
+        rng = np.random.default_rng(3)
+        S = X[np.array([rng.choice(len(X), size=2, replace=False) for _ in range(32)])]
+        S[5, 1] = S[5, 0]  # a degenerate sample among good ones
+        expected = _batch_outcomes(S, solvers.homography_batch, Homography)
+        assert not isinstance(expected[5], bytes)
+        svd, raised = np.linalg.svd, []
+
+        def stacked_svd_fails(a, *args, **kwargs):
+            if len(a) > 1:
+                raised.append(a.shape)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", stacked_svd_fails)
+        assert _batch_outcomes(S, solvers.homography_batch, Homography) == expected
+        assert raised == [(32, 12, 9)]
+
+    def test_stacked_distances_match_per_model_calls(self):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        rng = np.random.default_rng(8)
+        scene = generate_scene(seed=8, n_planes=3)
+        X = ac_array(sample_acs(scene, 300, noise, seed=8)[0])
+        F, faults = solvers.fundamental_batch(
+            X[np.array([rng.choice(len(X), size=3, replace=False) for _ in range(40)])])
+        F = F[[fault is None for fault in faults]]
+        e1, e2 = (np.linalg.svd(M)[2][-1] for M in (F[0], F[0].T))
+        X[0, 0:4] = [*(e1[:2] / e1[2]), *(e2[:2] / e2[2])]  # both epipoles of F[0]: +inf
+        columns = np.ascontiguousarray(X.T)
+        stacked = sampson_point_batch(*columns[:4], F)
+        assert stacked.shape == (len(F), len(X)) and stacked[0, 0] == np.inf
+        for f, row in zip(F, stacked):
+            assert row.tobytes() == sampson_point_batch(*columns[:4], f).tobytes()
+
+        X = ac_array(sample_acs(planar_scene(seed=8), 300, noise, seed=8)[0])
+        X[0, 0:2] = (100.0, 50.0)
+        H, faults = solvers.homography_batch(
+            X[np.array([rng.choice(len(X), size=2, replace=False) for _ in range(40)])])
+        # the last H sends the first point, (100, 50), to infinity
+        H = np.concatenate([H[[fault is None for fault in faults]],
+                            [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -100.0]]]])
+        pts1h = np.column_stack([X[:, 0:2], np.ones(len(X))])
+        pts2h = np.column_stack([X[:, 2:4], np.ones(len(X))])
+        stacked = robust._homography_residuals(H, pts1h, pts2h)
+        assert stacked.shape == (len(H), len(X)) and stacked[-1, 0] == np.inf
+        for h, row in zip(H, stacked):
+            assert row.tobytes() == robust._homography_residuals(h, pts1h, pts2h).tobytes()
 
 
 def _similarity(angle, scale, tx, ty):

@@ -168,7 +168,8 @@ def decompose_affine(A) -> AffineDecomposition:
 
     Returns (s, alpha, A'') with s = sqrt(det A) and I + A'' the symmetric
     positive-definite polar factor of A/s. Raises InvalidValue for
-    orientation-reversing or singular input.
+    orientation-reversing or singular input, and for input so ill-conditioned
+    that det(I + A'') misses 1 by more than 1e-8, which synthesize_affine refuses.
     """
     M = as_mat2(A)
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
@@ -181,11 +182,19 @@ def decompose_affine(A) -> AffineDecomposition:
     alpha = math.atan2(B[1, 0] - B[0, 1], B[0, 0] + B[1, 1])
     P = rotation2(alpha).T @ B
     P = 0.5 * (P + P.T)  # exact symmetrisation of round-off
-    return AffineDecomposition(
-        scale_ratio=s,
-        orientation_delta=wrap_angle(alpha),
-        residual_shape=P - np.eye(2),
-    )
+    residual = P - np.eye(2)
+    _unit_shape(residual)  # an A so ill-conditioned that synthesize_affine would refuse it
+    return AffineDecomposition(s, wrap_angle(alpha), residual)
+
+
+def _unit_shape(residual_shape: Mat2) -> Mat2:
+    """I + A'', refused unless its determinant is 1 within 1e-8 (not NaN)."""
+    shape = np.eye(2) + residual_shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = shape[0, 0] * shape[1, 1] - shape[0, 1] * shape[1, 0]
+    if not abs(det - 1.0) <= 1e-8:
+        raise InvalidValue(f"det(I + A'') = {det} deviates from 1 beyond 1e-8")
+    return shape
 
 
 def synthesize_affine(d: AffineDecomposition) -> Mat2:
@@ -196,11 +205,7 @@ def synthesize_affine(d: AffineDecomposition) -> Mat2:
     """
     if not d.scale_ratio > 0.0:
         raise InvalidValue(f"scale_ratio = {d.scale_ratio} must be > 0")
-    shape = np.eye(2) + d.residual_shape
-    det = shape[0, 0] * shape[1, 1] - shape[0, 1] * shape[1, 0]
-    if abs(det - 1.0) > 1e-8:
-        raise InvalidValue(f"det(I + A'') = {det} deviates from 1 beyond 1e-8")
-    return d.scale_ratio * rotation2(d.orientation_delta) @ shape
+    return d.scale_ratio * rotation2(d.orientation_delta) @ _unit_shape(d.residual_shape)
 
 
 def relative_frame(

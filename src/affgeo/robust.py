@@ -7,9 +7,10 @@ truncated score asc, hypothesis index asc), which makes the outcome a pure
 function of the inputs and the seed. The affine terms only break ties
 between equal counts, so they are computed only for hypotheses whose count can
 tie or beat the best one, and for LO refits. Both estimators run the same loop
-(_LoRansac), which draws minimal samples in blocks and solves and counts each
-block in one stacked pass; each estimator supplies only its block solve
-(fundamental_batch, homography_batch), its stacked residuals and its LO refit.
+(_LoRansac), which draws minimal samples in blocks, solves and counts each block
+in one stacked pass and refits a new best on its inliers while the refits
+improve and the mask still changes; each estimator supplies only its block
+solve (fundamental_batch, homography_batch), its residuals and its LO refit.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ class _LoRansac:
     iteration asc); scores(model, d2) returns the per-correspondence scores
     whose truncated sum is the total. A new best runs up to 16 local
     optimisation refits, refit(mask), over its inlier set while they improve
-    (a refit may raise one of the DEGENERATE exceptions), and tightens the
+    and the mask still changes (refit is a pure function of the mask; it may
+    raise one of the DEGENERATE exceptions), and tightens the
     adaptive bound. Whatever a block holds past the stop is dropped.
 
     The benchmark's tracer (bench/tracing.py) tells a minimal solve from an
@@ -215,7 +217,9 @@ class _LoRansac:
                 new_mask, new_count, new_total = self._support(candidate)
                 if (-new_count, new_total) >= (-count, total):
                     break
-                model, mask, count, total = candidate, new_mask, new_count, new_total
+                model, mask, count, total, fit_on = candidate, new_mask, new_count, new_total, mask
+                if np.array_equal(mask, fit_on):  # a fixed point: refit(mask) is candidate again
+                    break
         self.best = ((-count, total, self.iterations), model, mask)
         self.bound = min(
             self.bound,
@@ -273,8 +277,7 @@ def ransac_pose(
     X = ac_array(acs)
     estimate = ransac_fundamental(X, cfg)
     E = essential_from_fundamental(estimate.model, K1, K2)
-    inliers = X[estimate.inlier_mask]
-    pose = decompose_essential(E, list(zip(inliers[:, 0:2], inliers[:, 2:4])), K1, K2)
+    pose = decompose_essential(E, X[estimate.inlier_mask, 0:4], K1, K2)
     return pose, estimate
 
 

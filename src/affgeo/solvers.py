@@ -368,20 +368,23 @@ def triangulate_point(P1: FloatArray, P2: FloatArray, x1, x2) -> FloatArray:
     return Vt[-1]
 
 
-def _normalised_points(points, K: CameraIntrinsics) -> FloatArray:
-    """Pixel points mapped through K^-1 and dehomogenised, shape (n, 2)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(len(points), 2)
+def _normalised_points(pts: FloatArray, K: CameraIntrinsics) -> FloatArray:
+    """Pixel points, an (n, 2) array, mapped through K^-1 and dehomogenised."""
     xh = np.hstack([pts, np.ones((len(pts), 1))]) @ np.linalg.inv(K.K).T
     if not np.all(np.isfinite(xh)):  # non-finite points, or K^-1 overflowed (fx near 0)
         raise InvalidValue("points are not finite after K^-1")
     return xh[:, :2] / xh[:, 2:3]
 
 
-def _positive_depth_count(R: Mat3, t: FloatArray, x1: FloatArray, x2: FloatArray) -> int:
-    """Points that triangulate in front of both cameras [I | 0] and [R | t].
+def _positive_depth_counts(R: Mat3, t: FloatArray, x1: FloatArray,
+                           x2: FloatArray) -> tuple[int, int]:
+    """Points that triangulate in front of both cameras [I | 0] and [R | t],
+    and those in front of both [I | 0] and [R | -t].
 
     Each point is triangulated as in triangulate_point, all in one batched
-    SVD; points at infinity (|w| <= 1e-14) do not count.
+    SVD; points at infinity (|w| <= 1e-14) do not count. The DLT system of
+    (R, -t) is this one times diag(1, 1, 1, -1), so its null vector is this
+    one with w negated, and both depths change sign.
     """
     P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     P2 = np.hstack([R, t.reshape(3, 1)])
@@ -398,18 +401,29 @@ def _positive_depth_count(R: Mat3, t: FloatArray, x1: FloatArray, x2: FloatArray
     w = X[:, 3]
     z1 = X[:, 2] * w
     z2 = (X @ P2[2]) * w
-    return int(np.count_nonzero((np.abs(w) > 1e-14) & (z1 > 0.0) & (z2 > 0.0)))
+    finite = np.abs(w) > 1e-14
+    return (int(np.count_nonzero(finite & (z1 > 0.0) & (z2 > 0.0))),
+            int(np.count_nonzero(finite & (z1 < 0.0) & (z2 < 0.0))))
 
 
 def decompose_essential(
     E,
-    correspondences: Iterable[tuple],
+    correspondences: FloatArray | Iterable[tuple],
     K1: CameraIntrinsics,
     K2: CameraIntrinsics,
 ) -> RelativePose:
     """Pick the (R, t) candidate in which a strict majority of triangulated
-    points has positive depth in both cameras."""
+    points has positive depth in both cameras. The correspondences are an
+    (n, 4) array of x1, y1, x2, y2 rows or n point pairs (p1, p2)."""
     M = as_mat3(E)
+    try:
+        P = np.asarray(correspondences if isinstance(correspondences, np.ndarray)
+                       else list(correspondences), dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # not iterable, ragged or not numbers
+        raise InvalidArgument(f"correspondences must be (n, 4) rows or pairs: {exc}") from exc
+    if P.shape[1:] not in ((4,), (2, 2)) and P.shape != (0,):
+        raise InvalidArgument(f"correspondences must be (n, 4) or (n, 2, 2), got {P.shape}")
+    P = P.reshape(len(P), 4)
     U, _, Vt = np.linalg.svd(M)
     if np.linalg.det(U) < 0.0:
         U = -U
@@ -423,14 +437,12 @@ def decompose_essential(
         (U @ W.T @ Vt, t),
         (U @ W.T @ Vt, -t),
     ]
-    pairs = list(correspondences)
-    n = len(pairs)
-    x1 = _normalised_points([p1 for p1, _ in pairs], K1)
-    x2 = _normalised_points([p2 for _, p2 in pairs], K2)
-    counts = [_positive_depth_count(R, tt, x1, x2) for R, tt in candidates]
+    x1 = _normalised_points(P[:, 0:2], K1)
+    x2 = _normalised_points(P[:, 2:4], K2)
+    counts = [c for R, tt in candidates[::2] for c in _positive_depth_counts(R, tt, x1, x2)]
     best = int(np.argmax(counts))
-    if counts[best] * 2 <= n or counts.count(counts[best]) > 1:
-        raise CheiralityAmbiguity(f"positive-depth votes {counts} over {n} points")
+    if counts[best] * 2 <= len(P) or counts.count(counts[best]) > 1:
+        raise CheiralityAmbiguity(f"positive-depth votes {counts} over {len(P)} points")
     R, tt = candidates[best]
     # Contract: always hand back a proper rotation and unit direction.
     assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-10

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from affgeo import (
     AffineCorrespondence,
@@ -58,6 +59,13 @@ class TestDecompose:
         with pytest.raises(InvalidValue, match=r"must be > 0 for decomposition"):
             decompose_affine([[1.0, 0.0], [0.0, -1.0]])
 
+    def test_ill_conditioned_rejected(self):
+        # det 522.9, cond 9.7e7: the polar factor's determinant misses 1 by 1.1e-8
+        A = [[-1.2954679617742963e05, -1.8462145372355302e05],
+             [-6.1583798648827845e-06, -4.0449790556220744e-03]]
+        with pytest.raises(InvalidValue, match=r"det\(I \+ A''\) = 0.99999998882\d* deviates"):
+            decompose_affine(A)
+
     def test_singular_rejected(self):
         with pytest.raises(InvalidValue, match=r"must be > 0 for decomposition"):
             decompose_affine([[1.0, 2.0], [2.0, 4.0]])
@@ -94,6 +102,13 @@ class TestSynthesize:
         with pytest.raises(InvalidValue, match=r"deviates from 1 beyond 1e-8"):
             synthesize_affine(d)
 
+    def test_rejects_overflowing_shape_determinant(self):
+        # inf - inf: a NaN determinant is refused, not compared away
+        d = AffineDecomposition(scale_ratio=1.0, orientation_delta=0.0,
+                                residual_shape=np.full((2, 2), 1e200))
+        with pytest.raises(InvalidValue, match=r"det\(I \+ A''\) = nan deviates"):
+            synthesize_affine(d)
+
     def test_rejects_nonpositive_scale(self):
         d = AffineDecomposition(scale_ratio=-1.0, orientation_delta=0.0, residual_shape=np.zeros((2, 2)))
         with pytest.raises(InvalidValue, match=r"scale_ratio = -1.0 must be > 0"):
@@ -119,6 +134,30 @@ class TestSynthesize:
             )
             A = synthesize_affine(d)
             assert np.linalg.det(A) == pytest.approx(d.scale_ratio**2, rel=1e-10)
+
+
+# An entry: a mantissa in [-1, 1] times 10^k, |k| <= 6, so products of entries
+# span 24 decades and det(A) gets arbitrarily close to 0 relative to |A|^2.
+_ENTRY = st.builds(lambda m, k: m * 10.0 ** k, st.floats(-1.0, 1.0), st.integers(-6, 6))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.lists(_ENTRY, min_size=4, max_size=4))
+@example([-1.2954679617742963e05, -1.8462145372355302e05,
+          -6.1583798648827845e-06, -4.0449790556220744e-03])
+@example([1.0, 1.0, 1.1125369292536e-309, 0.0])  # det(A) subnormal: det(I + A'') overflows
+def test_decompose_synthesize_round_trip_or_refusal(entries):
+    """Every A either is refused by decompose_affine or comes back from
+    synthesize_affine to 1e-12 relative: what decompose_affine returns,
+    synthesize_affine accepts."""
+    A = np.reshape(entries, (2, 2))
+    if A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] < 0.0:  # aim at det > 0
+        A[0] = -A[0]
+    try:
+        d = decompose_affine(A)
+    except InvalidValue:
+        return
+    assert np.linalg.norm(synthesize_affine(d) - A) <= 1e-12 * np.linalg.norm(A)
 
 
 class TestRelativeFrame:

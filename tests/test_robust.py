@@ -205,12 +205,12 @@ class _ReferenceLoRansac:
                                      iterations_run=self.iterations, score=total)
 
 
-def _reference_ransac_fundamental(acs, cfg):
+def _reference_ransac_fundamental(acs, cfg, loop=_ReferenceLoRansac):
     """Reference: ransac_fundamental as it was before block sampling, calling
     fundamental_from_acs on each sample and scoring each model on its own."""
     X = ac_array(acs)
     columns = np.ascontiguousarray(X.T)
-    return _ReferenceLoRansac(
+    return loop(
         cfg, 3, len(X),
         distance=lambda F: sampson_point_batch(*columns[:4], F.matrix),
         scores=lambda F, sp: robust._fundamental_scores(columns, F.matrix, sp, cfg.affine_weight),
@@ -218,7 +218,7 @@ def _reference_ransac_fundamental(acs, cfg):
     ).run(lambda idx: fundamental_from_acs(X[idx]))
 
 
-def _reference_ransac_homography(acs, extra_points, cfg):
+def _reference_ransac_homography(acs, extra_points, cfg, loop=_ReferenceLoRansac):
     """Reference: ransac_homography as it was before block sampling, calling
     homography_from_acs on each sample and scoring each model on its own."""
     X = ac_array(acs)
@@ -227,7 +227,7 @@ def _reference_ransac_homography(acs, extra_points, cfg):
     ones = np.ones((n_acs + len(extra), 1))
     pts1h = np.hstack([np.concatenate([X[:, 0:2], extra[:, 0:2]]), ones])
     pts2h = np.hstack([np.concatenate([X[:, 2:4], extra[:, 2:4]]), ones])
-    return _ReferenceLoRansac(
+    return loop(
         cfg, 2, n_acs,
         distance=lambda H: _reference_homography_residuals(H, pts1h, pts2h),
         scores=lambda H, ste2: ste2,
@@ -393,6 +393,52 @@ class TestBlockSampling:
         assert outcome == (NoModelFound, "the sampler stopped on 500 consecutive degenerate "
                                          "draws in 500 iterations")
         assert outcome == _estimate_outcome(_reference_ransac_fundamental, acs, cfg)
+
+
+def _recording_refits(loop, calls):
+    """loop with each LO refit recorded in calls as (iteration, mask bytes)."""
+
+    class Recording(loop):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refit = self.refit
+            self.refit = lambda mask: calls.append((self.iterations, mask.tobytes())) or refit(mask)
+
+    return Recording
+
+
+class TestLoFixedPoint:
+    """An accepted LO refit whose inlier mask is the mask it was fit on ends
+    the refits: refit is a pure function of the mask, so the next refit would
+    rebuild the same model, reach the same support and stop the loop anyway.
+    The loop that makes that refit (_ReferenceLoRansac) is the oracle."""
+
+    @pytest.mark.parametrize("model, seed, fixed_points", [
+        ("fundamental", 7, 1), ("fundamental", 8, 1), ("fundamental", 22, 1),
+        ("fundamental", 0, 0), ("homography", 0, 1), ("homography", 4, 2),
+        ("homography", 11, 3), ("homography", 18, 3), ("homography", 2, 0),
+    ])
+    def test_one_refit_fewer_per_fixed_point(self, monkeypatch, model, seed, fixed_points):
+        calls, reference_calls = [], []
+        noise = NoiseSpec(point_sigma=0.5, outlier_fraction=0.4)
+        if model == "fundamental":
+            acs, _ = sample_acs(generate_scene(seed=seed, n_planes=3), 200, noise, seed=seed)
+            args, estimate, reference = (acs,), ransac_fundamental, _reference_ransac_fundamental
+        else:
+            acs, _ = sample_acs(planar_scene(seed=seed), 300, noise, seed=seed)
+            args, estimate, reference = (acs, []), ransac_homography, _reference_ransac_homography
+        cfg = RansacConfig(seed=seed)
+        expected = _estimate_outcome(
+            reference, *args, cfg, _recording_refits(_ReferenceLoRansac, reference_calls))
+        monkeypatch.setattr(robust, "_LoRansac", _recording_refits(robust._LoRansac, calls))
+        assert _estimate_outcome(estimate, *args, cfg) == expected
+        assert isinstance(expected[0], bytes)
+        # a refit of the mask that the refit before it, for the same hypothesis, produced
+        repeats = [i for i in range(1, len(reference_calls))
+                   if reference_calls[i] == reference_calls[i - 1]]
+        assert len(repeats) == fixed_points
+        assert len(calls) == len(reference_calls) - fixed_points
+        assert calls == [call for i, call in enumerate(reference_calls) if i not in repeats]
 
 
 class TestLazyTieBreak:

@@ -29,6 +29,7 @@ from affgeo.errors import (
     AffgeoError,
     CheiralityAmbiguity,
     DegenerateConfiguration,
+    InvalidArgument,
     InvalidValue,
     PointAtInfinity,
     TooFewCorrespondences,
@@ -38,7 +39,7 @@ from affgeo.core import as_vec2, homogenize
 from affgeo.residuals import FundamentalMatrix, _largest_entry_sign_fix, sampson_point_batch
 from affgeo.solvers import (
     RelativePose,
-    _positive_depth_count,
+    _positive_depth_counts,
     _unit_rows,
     apply_homography,
     axis_angle_rotation,
@@ -953,7 +954,8 @@ class TestDecomposeEssential:
             x1 = np.column_stack([x1, np.ones(len(acs))]) @ np.linalg.inv(scene.K1.K).T
             x2 = np.column_stack([x2, np.ones(len(acs))]) @ np.linalg.inv(scene.K2.K).T
             x1, x2 = x1[:, :2] / x1[:, 2:], x2[:, :2] / x2[:, 2:]
-            assert [_positive_depth_count(R, t, x1, x2) for R, t in candidates] == counts
+            assert [*_positive_depth_counts(*candidates[0], x1, x2),
+                    *_positive_depth_counts(*candidates[2], x1, x2)] == counts
             best = int(np.argmax(counts))
             if counts[best] * 2 <= len(pairs) or counts.count(counts[best]) > 1:
                 with pytest.raises(CheiralityAmbiguity, match=re.escape(str(counts))):
@@ -962,6 +964,79 @@ class TestDecomposeEssential:
                 pose = decompose_essential(E, pairs, scene.K1, scene.K2)
                 R, t = candidates[best]
                 assert np.array_equal(pose.R, R) and np.array_equal(pose.t, t)
+
+
+    def test_each_candidate_wins_as_the_per_point_loop_picks_it(self):
+        # 80 noisy ACs with 40% outliers; E from the scene or from a 3-AC
+        # solve. Which candidate wins depends on the SVD's signs, so these
+        # scenes cover all four of the (R, +-t) pairs.
+        winners = set()
+        for seed in range(16):
+            scene = generate_scene(seed=1000 + seed, n_planes=3)
+            noise = NoiseSpec(point_sigma=1.0, outlier_fraction=0.4)
+            acs, _ = sample_acs(scene, 80, noise, seed=seed)
+            F = scene.F_gt if seed % 2 == 0 else fundamental_from_acs(acs[:3])
+            E = essential_from_fundamental(F, scene.K1, scene.K2)
+            candidates, counts = _loop_decompose(E, [(ac.p1, ac.p2) for ac in acs],
+                                                 scene.K1, scene.K2)
+            best = int(np.argmax(counts))
+            rows = ac_array(acs)[:, 0:4]
+            if counts[best] * 2 <= len(acs) or counts.count(counts[best]) > 1:
+                with pytest.raises(CheiralityAmbiguity, match=re.escape(str(counts))):
+                    decompose_essential(E, rows, scene.K1, scene.K2)
+                continue
+            pose = decompose_essential(E, rows, scene.K1, scene.K2)
+            R, t = candidates[best]
+            assert pose.R.tobytes() == R.tobytes() and pose.t.tobytes() == t.tobytes()
+            winners.add(best)
+        assert winners == {0, 1, 2, 3}
+
+    def test_rows_and_pairs_give_the_same_pose(self, scene):
+        acs, _ = sample_acs(scene, 50, NoiseSpec(point_sigma=0.5, outlier_fraction=0.2), seed=3)
+        E = essential_from_fundamental(scene.F_gt, scene.K1, scene.K2)
+        pairs = [(tuple(map(float, ac.p1)), tuple(map(float, ac.p2))) for ac in acs]
+        rows = np.array([[*p1, *p2] for p1, p2 in pairs])
+        assert rows.shape == (50, 4)
+        want = decompose_essential(E, pairs, scene.K1, scene.K2)
+        for given in (rows, rows.reshape(50, 2, 2), np.asfortranarray(rows), iter(pairs)):
+            pose = decompose_essential(E, given, scene.K1, scene.K2)
+            assert pose.R.tobytes() == want.R.tobytes() and pose.t.tobytes() == want.t.tobytes()
+
+    def test_points_at_infinity_vote_for_no_candidate(self, rng):
+        # x1 == x2 under a pure translation: zero parallax, |w| <= 1e-14, and
+        # the depths' signs are rounding noise, for t as for -t
+        E = EssentialMatrix(skew3([1.0, 0.0, 0.0]))
+        for _ in range(5):
+            p = rng.uniform(-1.0, 1.0, size=(7, 2))
+            _, counts = _loop_decompose(E, list(zip(p, p)), IDENTITY_K, IDENTITY_K)
+            assert counts == [0, 0, 0, 0]
+            with pytest.raises(CheiralityAmbiguity, match=re.escape("[0, 0, 0, 0] over 7")):
+                decompose_essential(E, np.hstack([p, p]), IDENTITY_K, IDENTITY_K)
+
+    def test_zero_rows_vote_like_zero_pairs(self):
+        E = EssentialMatrix(skew3([1.0, 0.0, 0.0]))
+        for given in (np.zeros((3, 4)), [((0.0, 0.0), (0.0, 0.0))] * 3, np.zeros((0, 4))):
+            with pytest.raises(CheiralityAmbiguity, match=r"over (3|0) points"):
+                decompose_essential(E, given, IDENTITY_K, IDENTITY_K)
+
+    @pytest.mark.parametrize("given, shape", [
+        ([((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))], "(1, 2, 3)"),
+        ([((0, 0),)], "(1, 1, 2)"),
+        (np.zeros((4, 2, 3)), "(4, 2, 3)"),  # 24 values, not 6 rows
+        (np.zeros((3, 8)), "(3, 8)"),
+        (np.zeros(4), "(4,)"),
+        (np.zeros((2, 2, 2, 2)), "(2, 2, 2, 2)"),
+    ])
+    def test_other_shapes_raise_invalid_argument(self, given, shape):
+        E = EssentialMatrix(skew3([1.0, 0.0, 0.0]))
+        with pytest.raises(InvalidArgument, match=re.escape(f"got {shape}")):
+            decompose_essential(E, given, IDENTITY_K, IDENTITY_K)
+
+    @pytest.mark.parametrize("given", [[((0.0, 0.0), (0.0, 0.0, 1.0))], [("a", "b")], 5.0])
+    def test_ragged_or_non_numeric_pairs_raise_invalid_argument(self, given):
+        E = EssentialMatrix(skew3([1.0, 0.0, 0.0]))
+        with pytest.raises(InvalidArgument, match=re.escape("must be (n, 4) rows or pairs")):
+            decompose_essential(E, given, IDENTITY_K, IDENTITY_K)
 
 
 class TestGtAffineFromHomography:

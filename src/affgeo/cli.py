@@ -61,10 +61,11 @@ from .residuals import (
     sampson_affine_batch,
     sampson_point_batch,
 )
-from .robust import RansacConfig, ransac_fundamental, ransac_homography, ransac_pose
+from .robust import RansacConfig, ransac_fundamental, ransac_homography
 from .solvers import (
     Homography,
     apply_homography,
+    decompose_essential,
     essential_from_fundamental,
     gt_affine_from_homography,
 )
@@ -145,9 +146,9 @@ def cmd_estimate(args) -> int:
             raise FileFormatError("--intrinsics is required for --model essential")
         K1 = read_intrinsics(args.intrinsics)
         K2 = read_intrinsics(args.intrinsics2) if args.intrinsics2 else K1
-        pose, f_estimate = ransac_pose(acs, K1, K2, cfg)
-        E = essential_from_fundamental(f_estimate.model, K1, K2)
-        estimate = f_estimate
+        estimate = ransac_fundamental(acs, cfg)
+        E = essential_from_fundamental(estimate.model, K1, K2)
+        pose = decompose_essential(E, acs[estimate.inlier_mask, 0:4], K1, K2)
         write_mat3(f"{prefix}_model.txt", E.matrix)
         write_pose(f"{prefix}_pose.txt", pose)
     if args.model != "essential":
@@ -408,13 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args keeps no state between calls, and building the
+# parser costs over ten times what parsing with it does.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     start = time.perf_counter()
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
-        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")  # a bare MemoryError is blank
+        # numpy's MemoryError names the allocation; the line stays the same
+        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
+        sys.stderr.write(f"error: {message}\n")
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
     finally:
         elapsed_ms = (time.perf_counter() - start) * 1e3

@@ -4,12 +4,26 @@ All reals in data files are serialized with 17 significant digits, which
 round-trips doubles exactly: write -> read -> write is byte-identical. Lines
 starting with '#' are comments; the AC/match/point tables carry a header line
 naming their columns.
+
+The table readers (read_acs, read_matches, read_points) stream the file. They
+first count its line breaks, an upper bound on its rows, and allocate the
+float64 array for that many rows, so a file too large for memory fails before
+any parsing. The lines through the first row then take the per-line rule
+(_parse_lines: header, comments, blank lines, one float() per field). The
+rest are read in blocks of _BLOCK_LINES lines. A block holding only digits,
+'+-.eE', commas, spaces and '\\n' is parsed by one np.loadtxt call, and kept
+when that gives one row of finite values per line. Any other block goes
+through the per-line rule, so each error keeps its message and line, and the
+first fault in file order is reported. Memory is the array plus one block
+(a pipe, which cannot be read twice, is held whole).
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -30,11 +44,35 @@ def fmt(v: float) -> str:
 
 # --- tabular formats -----------------------------------------------------------
 
-def _parse_table(text: str, n_fields: int, what: str) -> np.ndarray:
-    """Comma/whitespace-separated numeric rows as an (N, n_fields) float64
-    array. A file with several faults reports the first one in file order."""
-    rows, line_nos, fault = [], [], None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+# Lines per block of the fast path, and bytes per read while counting lines.
+_BLOCK_LINES, _COUNT_BYTES = 1 << 16, 1 << 20
+# The bytes a block may hold to take the fast path.
+_FAST_BYTES = b"0123456789+-.eE, \n"
+
+
+def _line_bound(fh) -> int:
+    """One more than the line-break bytes of a binary file (\\n, \\r, \\v,
+    \\f and \\x1c-\\x1e, where str.splitlines breaks ASCII text): at least
+    its number of lines."""
+    bound = 1
+    while chunk := fh.read(_COUNT_BYTES):
+        b = np.frombuffer(chunk, np.uint8)
+        bound += int(np.count_nonzero(b - 10 < 4) + np.count_nonzero(b - 28 < 3))
+    return bound
+
+
+def _parse_lines(data: bytes, table: np.ndarray, n_rows: int, line_no: int,
+                 what: str) -> tuple[int, int]:
+    """The per-line rule. The rows of data's lines, numbered on from line_no,
+    go into table from row n_rows; returns the row count and the last line
+    number. A line holding only letters before the first row is a header;
+    any other line that is not blank or a comment must hold one finite real
+    per column of table, or FileFormatError names it."""
+    for line_no, raw in enumerate(
+        data.decode("ascii", "surrogateescape").splitlines(), start=line_no + 1
+    ):
+        if not raw.isascii():
+            raise FileFormatError(f"non-ASCII byte in {what} file", line=line_no)
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -42,31 +80,63 @@ def _parse_table(text: str, n_fields: int, what: str) -> np.ndarray:
         try:
             values = list(map(float, fields))
         except ValueError:
-            if not rows and all(any(c.isalpha() for c in f) for f in fields):
+            if not n_rows and all(any(c.isalpha() for c in f) for f in fields):
                 continue  # tolerate a header naming the columns
-            fault = FileFormatError(f"unparseable {what} row: {raw!r}", line=line_no)
-            break
-        if len(values) != n_fields:
-            fault = FileFormatError(
-                f"expected {n_fields} fields per {what} row, got {len(values)}", line=line_no
+            raise FileFormatError(f"unparseable {what} row: {raw!r}", line=line_no) from None
+        if len(values) != table.shape[1]:
+            raise FileFormatError(
+                f"expected {table.shape[1]} fields per {what} row, got {len(values)}",
+                line=line_no,
             )
-            break
-        rows.append(values)
-        line_nos.append(line_no)
-    table = np.array(rows, dtype=np.float64).reshape(-1, n_fields)
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        line_no = line_nos[int(np.argmin(finite))]
-        raise FileFormatError(f"non-finite value in {what} row", line=line_no)
-    if fault is not None:
-        raise fault
-    return table
+        if not all(map(math.isfinite, values)):
+            raise FileFormatError(f"non-finite value in {what} row", line=line_no)
+        table[n_rows] = values
+        n_rows += 1
+    return n_rows, line_no
+
+
+def _fast_rows(block: bytes, n_lines: int, n_fields: int) -> np.ndarray | None:
+    """A block's rows from one C-level parse, or None unless that parse
+    provably equals the per-line rule's: the block holds only _FAST_BYTES,
+    and parses to one row of n_fields finite reals per line. loadtxt reads a
+    token of those bytes with the parser float() uses."""
+    text = block.replace(b",", b" ")
+    if block.translate(None, _FAST_BYTES) or text.isspace():  # loadtxt warns on no data
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(text), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (n_lines, n_fields) or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _read_table(path, n_fields: int, what: str) -> np.ndarray:
+    """Comma/whitespace-separated numeric rows as an (N, n_fields) float64
+    array, read in blocks as the module docstring describes. A file with
+    several faults reports the first one in file order."""
+    with open(path, "rb") as raw:
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())  # a pipe is read whole
+        table = np.empty((_line_bound(fh), n_fields))
+        fh.seek(0)
+        n_rows = line_no = 0
+        while not n_rows and (line := fh.readline()):
+            n_rows, line_no = _parse_lines(line, table, n_rows, line_no, what)
+        while lines := list(islice(fh, _BLOCK_LINES)):
+            block = b"".join(lines)
+            rows = _fast_rows(block, len(lines), n_fields)
+            if rows is None:
+                n_rows, line_no = _parse_lines(block, table, n_rows, line_no, what)
+            else:
+                table[n_rows:n_rows + len(rows)] = rows
+                n_rows, line_no = n_rows + len(rows), line_no + len(rows)
+    return table[:n_rows]
 
 
 def read_acs(path) -> np.ndarray:
     """(N, 8) float64 array in ac_array's layout: x1, y1, x2, y2, a11, a12, a21, a22."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _parse_table(fh.read(), 8, "AC")
+    return _read_table(path, 8, "AC")
 
 
 def write_acs(path, acs: Sequence[AffineCorrespondence] | np.ndarray) -> None:
@@ -79,8 +149,7 @@ def write_acs(path, acs: Sequence[AffineCorrespondence] | np.ndarray) -> None:
 
 def read_matches(path) -> np.ndarray:
     """(N, 4) array of x1, y1, x2, y2 rows."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _parse_table(fh.read(), 4, "match")
+    return _read_table(path, 4, "match")
 
 
 def write_matches(path, matches) -> None:
@@ -92,8 +161,7 @@ def write_matches(path, matches) -> None:
 
 def read_points(path) -> np.ndarray:
     """(N, 2) array of x, y rows."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _parse_table(fh.read(), 2, "point")
+    return _read_table(path, 2, "point")
 
 
 def write_points(path, points) -> None:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from affgeo import AffineCorrespondence, generate_scene, sample_acs
+from affgeo import AffineCorrespondence, fileio, generate_scene, sample_acs
 from affgeo.cli import main
 from affgeo.fileio import (
     AC_HEADER,
@@ -300,6 +300,46 @@ class TestEstimate:
         assert "Traceback" not in proc.stderr
         assert time.perf_counter() - start < 5.0
 
+    def test_refused_allocation_prints_only_out_of_memory(self, synth_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        # A line bound of 2**50 asks numpy for 64 PiB, more than any address
+        # space: numpy's MemoryError names the allocation, the CLI does not.
+        monkeypatch.setattr(fileio, "_line_bound", lambda fh: 1 << 50)
+        code = main(["estimate", str(synth_dir / "acs.csv"), "--model", "homography",
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert _error_lines(capsys.readouterr().err) == ["error: out of memory"]
+
+    def test_large_input_read_within_address_space_cap(self, tmp_path):
+        # 400 000 ACs, 62 MB of text, are 25 MB as an array. Read a block of
+        # lines at a time, the file and one draw's scoring fit in the 224 MB
+        # the child leaves itself; held as the whole text, its lines and a
+        # float object per field they need about 330 MB.
+        scene = generate_scene(seed=4, n_planes=1)
+        pool = tmp_path / "pool.csv"
+        write_acs(pool, sample_acs(scene, 500, seed=5)[0])
+        rows = pool.read_text().split("\n", 1)[1]
+        ac_file = tmp_path / "big.csv"
+        ac_file.write_text(AC_HEADER + "\n" + rows * 800)
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            from affgeo.cli import main
+            held = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+            resource.setrlimit(resource.RLIMIT_AS, (held + (224 << 20), held + (224 << 20)))
+            sys.exit(main(sys.argv[1:]))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "estimate", str(ac_file), "--model", "homography",
+             "--no-lo", "--max-iterations", "1", "--out", str(tmp_path / "x")],
+            env=cli_env(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        metrics = _report_metrics(proc.stdout)
+        assert metrics["n"] == metrics["inliers"] == 400_000
+
     @pytest.mark.parametrize("model", ["fundamental", "essential"])
     def test_single_plane_stops_on_degenerate_draws(self, tmp_path, capsys, model):
         # every 3-AC sample of a noise-free single-plane set is degenerate;
@@ -494,3 +534,30 @@ class TestPipelineClosure:
         metrics = _report_metrics(buf.getvalue())
         assert metrics["auc@5"] == 1.0
         assert metrics["rotation_rmse_deg"] <= 1e-5
+
+
+def _outputs(path) -> dict:
+    """The files a run wrote: an --out-dir's files, or an --out prefix's."""
+    files = path.iterdir() if path.is_dir() else path.parent.glob(path.name + "_*")
+    return {p.name: p.read_bytes() for p in sorted(files)}
+
+
+def test_consecutive_calls_match_fresh_processes(synth_dir, tmp_path, capsys):
+    """main() parses with one parser built at import: calls in one process
+    give the bytes fresh processes give, so no option leaks into the next call."""
+    ac_file = str(synth_dir / "acs.csv")
+    runs = [
+        (["estimate", ac_file, "--model", "homography", "--no-lo", "--seed", "2",
+          "--threshold", "1.5", "--out"], tmp_path / "a"),
+        (["estimate", ac_file, "--model", "homography", "--out"], tmp_path / "b"),
+        (["synth", "--seed", "3", "--n", "20", "--planes", "2", "--out-dir"], tmp_path / "c"),
+        (["synth", "--out-dir"], tmp_path / "d"),
+    ]
+    fresh = []
+    for args, out in runs:
+        code, stdout, _ = run_cli(args + [out])
+        fresh.append((code, stdout, _outputs(out)))
+    capsys.readouterr()
+    for (args, out), expected in zip(runs, fresh):
+        code = main(args + [str(out)])
+        assert (code, capsys.readouterr().out, _outputs(out)) == expected

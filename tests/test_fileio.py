@@ -1,10 +1,13 @@
 """Tests for the bit-exact file formats and run reports."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affgeo import AffineCorrespondence, CameraIntrinsics, RelativePose
+from affgeo import fileio
 from affgeo.errors import FileFormatError, InvalidValue
 from affgeo.fileio import (
     AC_HEADER,
@@ -275,3 +278,166 @@ VALUES = st.one_of(
 def test_any_report_renders_back_byte_identical(report):
     text = render_report(report)
     assert render_report(parse_report(text)) == text
+
+
+# --- block parsing against the per-line reader it replaced ---------------------------
+
+def _reference_parse_table(text: str, n_fields: int, what: str) -> np.ndarray:
+    """Reference: the table reader as first written, one float() per field
+    over the whole decoded text."""
+    rows, line_nos, fault = [], [], None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.replace(",", " ").split()
+        try:
+            values = list(map(float, fields))
+        except ValueError:
+            if not rows and all(any(c.isalpha() for c in f) for f in fields):
+                continue  # tolerate a header naming the columns
+            fault = FileFormatError(f"unparseable {what} row: {raw!r}", line=line_no)
+            break
+        if len(values) != n_fields:
+            fault = FileFormatError(
+                f"expected {n_fields} fields per {what} row, got {len(values)}", line=line_no
+            )
+            break
+        rows.append(values)
+        line_nos.append(line_no)
+    table = np.array(rows, dtype=np.float64).reshape(-1, n_fields)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        line_no = line_nos[int(np.argmin(finite))]
+        raise FileFormatError(f"non-finite value in {what} row", line=line_no)
+    if fault is not None:
+        raise fault
+    return table
+
+
+TABLE_READERS = {8: (read_acs, "AC"), 4: (read_matches, "match"), 2: (read_points, "point")}
+# Tokens: exact doubles in the formats files carry and integers, and odd
+# ones: non-finite values and strings of the bytes the fast path admits or the
+# per-line rule treats specially.
+NUMBERS = st.one_of(
+    DOUBLES.map(lambda v: f"{v:.17g}"),
+    DOUBLES.map(repr),
+    DOUBLES.map(lambda v: f"{v:.6g}"),
+    st.integers(-10**6, 10**6).map(str),
+)
+ODD_TOKENS = st.one_of(
+    st.sampled_from(["nan", "inf", "1e5000", "-1e5000", "1e-5000", "1_0", "1e", "-", "+.e1"]),
+    st.text(alphabet="0123456789,. +-e_#\r\x0b\x0c\x1c", min_size=1, max_size=5),
+)
+# Separators: those of a row, then those that break it (a line break within
+# the row, an underscore that float() reads as a digit group, a comment).
+SEPARATORS, ODD_SEPARATORS = [",", " ", ", ", ",,"], ["\r", "\x0b", "\x0c", "\x1c", "_", " #"]
+HEADERS = st.sampled_from([AC_HEADER, "x y", "a,b,c,d", "x1 y1 # columns", "x1,2"])
+
+
+@st.composite
+def _table_texts(draw, n_fields):
+    """A table file: mostly rows of n_fields numbers on \\n-ended lines, with
+    rows holding a wrong field count, an odd token or an odd separator, and
+    headers, comments, blank lines and the other line breaks mixed in."""
+    lines = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["row"] * 7 + ["odd row"] * 2 + ["header", "comment", "blank"]))
+        if kind.endswith("row"):
+            n = n_fields + (draw(st.sampled_from([0, 0, -1, 1])) if kind == "odd row" else 0)
+            tokens = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+            seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=n, max_size=n))
+            seps[-1] = draw(st.sampled_from(["", "", " # note", " "]))
+            if kind == "odd row" and draw(st.booleans()):
+                tokens[draw(st.integers(0, n - 1))] = draw(ODD_TOKENS)
+            elif kind == "odd row" and n > 1:
+                seps[draw(st.integers(0, n - 2))] = draw(st.sampled_from(ODD_SEPARATORS))
+            line = "".join(t + sep for t, sep in zip(tokens, seps))
+        elif kind == "header":
+            line = draw(HEADERS)
+        elif kind == "comment":
+            line = "# " + draw(st.text(alphabet="ab12,#", max_size=6))
+        else:
+            line = draw(st.sampled_from(["", "  ", " , "]))
+        lines.append(line + draw(st.sampled_from(["\n"] * 12 + ["\r", "\r\n", "\x0b", "\x0c", "\x1c"])))
+    text = "".join(lines)
+    return text[:-1] if text and draw(st.booleans()) else text  # maybe no final line break
+
+
+def _outcome(parse):
+    try:
+        table = parse()
+    except FileFormatError as exc:
+        return type(exc), str(exc), exc.line
+    return table.shape, table.tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # e.g. loadtxt's on a block with no data
+@pytest.mark.parametrize("n_fields", TABLE_READERS)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_block_parse_matches_per_line_reference(n_fields, data, round_trip_dir):
+    """Every 1-3 lines start a block, so block edges land on every kind of
+    line: the reader returns the reference's bytes or raises its error."""
+    read, what = TABLE_READERS[n_fields]
+    text = data.draw(_table_texts(n_fields))
+    path = round_trip_dir / f"table{n_fields}.txt"
+    path.write_bytes(text.encode("ascii"))
+    with open(path, encoding="ascii") as fh:  # universal newlines, as the reference read
+        expected = _outcome(lambda: _reference_parse_table(fh.read(), n_fields, what))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_BLOCK_LINES", data.draw(st.integers(1, 3)))
+        assert _outcome(lambda: read(path)) == expected
+
+
+# Point files whose faults or values sit past the first row, where the fast
+# path declines a block: the per-line rule must see it with the right line.
+BLOCK_CASES = {
+    "overflow to inf": "x,y\n1,2\n3,4\n5,1e5000\n",
+    "nan": "1,2\n3,nan\n",
+    "digit group that float() reads": "x,y\n1,2\n3,1_0\n",
+    "blank line, then a fault": "x,y\n1,2\n\n3,4\n5\n",
+    "spaces line, then a fault": "1,2\n \n3,4\n5 6 7\n",
+    "vertical tab within a row": "x,y\n1,2\n3\x0b4\n",
+    "comment within the rows": "1,2\n3,4 # c\n5,6\n7\n",
+    "header after a row": "1,2\nx,y\n",
+    "tabs": "1\t2\n3\t4\n",
+    "CRLF line ends": "x,y\r\n1,2\r\n3,4\r\n",
+    "no final line break": "1,2\n3,4",
+    "header only": "x,y\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 1 << 16])
+@pytest.mark.parametrize("text", BLOCK_CASES.values(), ids=BLOCK_CASES)
+def test_fast_path_declines_what_it_cannot_prove(text, block_lines, tmp_path, monkeypatch):
+    path = tmp_path / "points.txt"
+    path.write_bytes(text.encode("ascii"))
+    expected = _outcome(lambda: _reference_parse_table(path.read_text(), 2, "point"))
+    monkeypatch.setattr(fileio, "_BLOCK_LINES", block_lines)
+    assert _outcome(lambda: read_points(path)) == expected
+
+
+def test_non_ascii_byte_names_its_line(tmp_path):
+    path = tmp_path / "acs.csv"
+    write_acs(path, _tricky_acs())
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5].replace(b",", b"\xff,", 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(FileFormatError, match="non-ASCII byte in AC file") as exc:
+        read_acs(path)
+    assert exc.value.line == 6
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_pipe_reads_like_a_file(tmp_path):
+    path = tmp_path / "acs.csv"
+    write_acs(path, _tricky_acs())
+    r, w = os.pipe()
+    os.write(w, path.read_bytes())  # 20 rows fit in the pipe's buffer
+    os.close(w)
+    try:
+        assert read_acs(f"/dev/fd/{r}").tobytes() == read_acs(path).tobytes()
+    finally:
+        os.close(r)

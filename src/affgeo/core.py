@@ -5,6 +5,8 @@ Conventions used throughout the package:
   - points are length-2 float arrays (pixels), homogenised by consumers;
   - an AC set in memory is one (N, 8) float64 array (see ac_array) whose
     columns follow the AC file: x1, y1, x2, y2, a11, a12, a21, a22;
+  - bare point pairs are one (n, 4) float64 array (see match_array) whose
+    columns follow the match file: x1, y1, x2, y2;
   - A maps an infinitesimal neighbourhood of p1 (first image) onto the
     neighbourhood of p2 (second image);
   - angles are radians, counter-clockwise positive, reported in (-pi, pi].
@@ -123,6 +125,19 @@ def ac_array(acs) -> FloatArray:
         X[:, 2:4] = [ac.p2 for ac in acs]
         X[:, 4:8] = [ac.A.ravel() for ac in acs]
     return X
+
+
+def match_array(pairs) -> FloatArray:
+    """Point pairs as one (n, 4) float64 array of the match file's columns x1, y1,
+    x2, y2, from such an array, an (n, 2, 2) array or n pairs (p1, p2); any
+    other shape raises InvalidArgument. Finiteness is not checked."""
+    try:
+        P = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # not iterable, ragged or not numbers
+        raise InvalidArgument(f"point pairs must be (n, 4) rows or pairs: {exc}") from exc
+    if P.shape[1:] not in ((4,), (2, 2)) and P.shape != (0,):
+        raise InvalidArgument(f"point pairs must be (n, 4) or (n, 2, 2), got {P.shape}")
+    return P.reshape(len(P), 4)
 
 
 @dataclass(frozen=True)

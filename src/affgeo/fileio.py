@@ -11,11 +11,11 @@ float64 array for that many rows, so a file too large for memory fails before
 any parsing. The lines through the first row then take the per-line rule
 (_parse_lines: header, comments, blank lines, one float() per field). The
 rest are read in blocks of _BLOCK_LINES lines. A block holding only digits,
-'+-.eE', commas, spaces and '\\n' is parsed by one np.loadtxt call, and kept
-when that gives one row of finite values per line. Any other block goes
-through the per-line rule, so each error keeps its message and line, and the
-first fault in file order is reported. Memory is the array plus one block
-(a pipe, which cannot be read twice, is held whole).
+'+-.eE', commas, spaces and '\\n' (or '\\r\\n') is parsed by one np.loadtxt
+call, and kept when that gives one row of finite values per line. Any other
+block goes through the per-line rule, so each error keeps its message and
+line, and the first fault in file order is reported. Memory is the array
+plus one block (a pipe, which cannot be read twice, is held whole).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AffineCorrespondence, CameraIntrinsics, Mat3, ac_array
+from .core import AffineCorrespondence, CameraIntrinsics, Mat3, ac_array, match_array
 from .errors import FileFormatError, InvalidValue
 from .solvers import RelativePose
 
@@ -51,13 +51,14 @@ _FAST_BYTES = b"0123456789+-.eE, \n"
 
 
 def _line_bound(fh) -> int:
-    """One more than the line-break bytes of a binary file (\\n, \\r, \\v,
-    \\f and \\x1c-\\x1e, where str.splitlines breaks ASCII text): at least
-    its number of lines."""
+    """One more than the line breaks of a binary file (\\n, \\r, \\v, \\f and
+    \\x1c-\\x1e, where str.splitlines breaks ASCII text; \\r\\n is one break,
+    or two if split across reads): at least its number of lines."""
     bound = 1
     while chunk := fh.read(_COUNT_BYTES):
         b = np.frombuffer(chunk, np.uint8)
         bound += int(np.count_nonzero(b - 10 < 4) + np.count_nonzero(b - 28 < 3))
+        bound -= chunk.count(b"\r\n") if b"\r" in chunk else 0  # `in` is a memchr, ~70x faster
     return bound
 
 
@@ -98,8 +99,9 @@ def _parse_lines(data: bytes, table: np.ndarray, n_rows: int, line_no: int,
 def _fast_rows(block: bytes, n_lines: int, n_fields: int) -> np.ndarray | None:
     """A block's rows from one C-level parse, or None unless that parse
     provably equals the per-line rule's: the block holds only _FAST_BYTES,
-    and parses to one row of n_fields finite reals per line. loadtxt reads a
-    token of those bytes with the parser float() uses."""
+    and parses to one row of n_fields finite reals per line, once each \\r\\n
+    is \\n. loadtxt reads a token of those bytes with the parser float() uses."""
+    block = block.replace(b"\r\n", b"\n") if b"\r" in block else block  # memchr, as above
     text = block.replace(b",", b" ")
     if block.translate(None, _FAST_BYTES) or text.isspace():  # loadtxt warns on no data
         return None
@@ -153,9 +155,10 @@ def read_matches(path) -> np.ndarray:
 
 
 def write_matches(path, matches) -> None:
+    rows = match_array(matches)  # before the file is opened: a refusal leaves it as it was
     with open(path, "w", encoding="ascii") as fh:
         fh.write(MATCH_HEADER + "\n")
-        for row in np.asarray(matches, dtype=float).reshape(-1, 4):
+        for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 

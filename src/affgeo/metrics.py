@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FloatArray, as_mat2
+from .core import FloatArray, as_mat2, match_array
 from .errors import InvalidArgument, InvalidValue
 from .solvers import Homography, RelativePose
 
@@ -56,10 +56,9 @@ class MatchEvalReport:
     n_matches: int
 
 
-def _match_errors(matches, H_gt) -> tuple[FloatArray, np.ndarray]:
-    """Reprojection errors of (x1, y1, x2, y2) rows under H; the validity mask
+def _match_errors(m: FloatArray, H_gt) -> tuple[FloatArray, np.ndarray]:
+    """Reprojection errors of a match_array's rows under H; the validity mask
     is False where the point maps to infinity (counted as incorrect)."""
-    m = np.asarray(matches, dtype=float).reshape(-1, 4)
     H = H_gt.matrix if isinstance(H_gt, Homography) else np.asarray(H_gt, dtype=float)
     ones = np.ones((m.shape[0], 1))
     q = np.hstack([m[:, :2], ones]) @ H.T
@@ -74,7 +73,7 @@ def mma_at_threshold(matches, H_gt, thr: float) -> float:
     """Fraction of matches whose warp error is within thr pixels (0 if empty)."""
     if not thr > 0.0:  # NaN-safe
         raise InvalidArgument(f"threshold must be positive, got {thr}")
-    m = np.asarray(matches, dtype=float).reshape(-1, 4)
+    m = match_array(matches)
     if m.shape[0] == 0:
         return 0.0
     err, valid = _match_errors(m, H_gt)
@@ -83,7 +82,7 @@ def mma_at_threshold(matches, H_gt, thr: float) -> float:
 
 def mma_curve(matches, H_gt) -> MmaCurve:
     """MMA at every integer threshold 1..10 px."""
-    m = np.asarray(matches, dtype=float).reshape(-1, 4)
+    m = match_array(matches)
     if m.shape[0] == 0:
         return MmaCurve(np.zeros(10))
     err, valid = _match_errors(m, H_gt)
@@ -110,12 +109,12 @@ def mma_score(curve: MmaCurve) -> float:
 
 def evaluate_matches(pairs) -> MatchEvalReport:
     """Per-pair-then-mean MMA aggregation over (matches, H_gt) pairs."""
-    pairs = list(pairs)
+    pairs = [(match_array(m), H) for m, H in pairs]
     if not pairs:
         raise InvalidArgument("no image pairs to evaluate")
     curves = [mma_curve(m, H).values for m, H in pairs]
     mean_curve = MmaCurve(np.mean(curves, axis=0))
-    n_matches = sum(np.asarray(m, dtype=float).reshape(-1, 4).shape[0] for m, _ in pairs)
+    n_matches = sum(len(m) for m, _ in pairs)
     return MatchEvalReport(
         curve=mean_curve,
         mma_score=mma_score(mean_curve),

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AffineCorrespondence, CameraIntrinsics, ac_array
+from .core import AffineCorrespondence, CameraIntrinsics, ac_array, match_array
 from .errors import (
     DegenerateConfiguration,
     InvalidArgument,
@@ -298,15 +297,14 @@ def _homography_residuals(H: np.ndarray, pts1h: np.ndarray, pts2h: np.ndarray) -
 
 def ransac_homography(
     acs: Sequence[AffineCorrespondence] | np.ndarray,
-    extra_points: Sequence[tuple],
+    extra_points: np.ndarray | Iterable[tuple],
     cfg: RansacConfig,
 ) -> RobustEstimate:
-    """Robust homography (minimal sample: 2 ACs). The mask covers the ACs
-    first, then the extra point pairs; inliers satisfy a symmetric transfer
-    error of at most the threshold."""
-    X = ac_array(acs)
+    """Robust homography (minimal sample: 2 ACs); extra_points in any form
+    match_array takes. The mask covers the ACs first, then the extra point
+    pairs; inliers satisfy a symmetric transfer error of at most the threshold."""
+    X, extra = ac_array(acs), match_array(extra_points)
     n_acs = len(X)
-    extra = np.asarray(extra_points, dtype=np.float64).reshape(-1, 4)  # x1, y1, x2, y2
     ones = np.ones((n_acs + len(extra), 1))
     pts1h = np.hstack([np.concatenate([X[:, 0:2], extra[:, 0:2]]), ones])
     pts2h = np.hstack([np.concatenate([X[:, 2:4], extra[:, 2:4]]), ones])
@@ -317,7 +315,5 @@ def ransac_homography(
         distance=lambda H: _homography_residuals(H, pts1h, pts2h),
         model=Homography,
         scores=lambda H, ste2: ste2,
-        refit=lambda mask: homography_from_acs(
-            X[mask[:n_acs]], list(compress(extra_points, mask[n_acs:]))
-        ),
+        refit=lambda mask: homography_from_acs(X[mask[:n_acs]], extra[mask[n_acs:]]),
     ).run()

@@ -26,6 +26,7 @@ from .core import (
     as_mat3,
     as_vec2,
     homogenize,
+    match_array,
 )
 from .errors import (
     CheiralityAmbiguity,
@@ -121,18 +122,14 @@ def apply_homography(H, p) -> FloatArray:
 
 # --- Hartley normalisation and the null vector, over a stack of B samples -----
 
-def _flag(faults: list | None, bad: np.ndarray, message) -> None:
-    """A check that the samples bad marks fail: with faults None (one sample)
-    raise its message, else record message(i) where no earlier check failed."""
-    if faults is None:
-        if bad[0]:
-            raise DegenerateConfiguration(message(0))
-    else:
-        for i in np.flatnonzero(bad):
-            faults[i] = faults[i] or message(i)
+def _flag(faults: list, bad: np.ndarray, message) -> None:
+    """A check that the samples bad marks fail: record message(i) as the
+    fault of each, where no earlier check failed."""
+    for i in bad.nonzero()[0]:  # half the cost of np.flatnonzero, paid by every solve
+        faults[i] = faults[i] or message(i)
 
 
-def _similarities(P: FloatArray, faults: list | None = None):
+def _similarities(P: FloatArray, faults: list):
     """Both images' Hartley similarities T1, T2 (centroid to the origin, RMS radius
     to sqrt(2)) from (B, m, 4) rows x1, y1, x2, y2, and the points centred."""
     centroids = P.mean(axis=1).reshape(-1, 2, 2)
@@ -155,24 +152,19 @@ def _kron3(A: FloatArray, B: FloatArray) -> FloatArray:
     return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(*A.shape[:-2], 9, 9)
 
 
-def _solve_nullspace(rows: FloatArray, faults: list | None = None) -> FloatArray:
+def _solve_nullspace(rows: FloatArray, faults: list) -> FloatArray:
     """Smallest right singular vector of each sample's (m, 9) constraint rows.
 
     One SVD gives both the rank (with matrix_rank's tolerance) and the null
     vector; it is thin unless m < 9, where only the full Vt holds the null
-    vector. Overflowed rows and, for one sample, an SVD that does not converge
-    are degenerate; with faults given, an SVD that does not converge raises.
+    vector. Overflowed rows are degenerate. An SVD that does not converge
+    raises LinAlgError, which _in_one_pass handles.
     """
     finite = np.isfinite(rows).all(axis=(1, 2))
     _flag(faults, ~finite, lambda i: "constraint rows overflow")
     if not finite.all():  # zero the non-finite entries: the SVD can hang on them
         rows = np.where(np.isfinite(rows), rows, 0.0)
-    try:
-        _, S, Vt = np.linalg.svd(rows, full_matrices=rows.shape[1] < 9)
-    except np.linalg.LinAlgError as exc:
-        if faults is not None:
-            raise
-        raise DegenerateConfiguration(f"constraint matrix SVD: {exc}") from exc
+    _, S, Vt = np.linalg.svd(rows, full_matrices=rows.shape[1] < 9)
     tol = S.max(axis=1) * (max(rows.shape[1:]) * np.finfo(S.dtype).eps)
     rank = np.sum(S > tol[:, None], axis=1)
     _flag(faults, rank < 8, lambda i: f"constraint matrix rank {rank[i]} < 8")
@@ -186,7 +178,7 @@ def _unit_rows(rows: FloatArray) -> FloatArray:
 
 # --- fundamental matrix from ACs ----------------------------------------------
 
-def _fundamental(S: FloatArray, faults: list | None = None) -> FloatArray:
+def _fundamental(S: FloatArray, faults: list) -> FloatArray:
     """F of each sample in S, a (B, m, 8) stack of ac_array rows, m >= 3;
     faults as in _flag.
 
@@ -231,21 +223,18 @@ def _fundamental(S: FloatArray, faults: list | None = None) -> FloatArray:
 
 def _in_one_pass(solve, S: FloatArray) -> tuple[FloatArray, list[str | None]]:
     """solve(S, faults) over a block of samples in one stacked pass: B matrices
-    and per sample None or the message its single solve raises (the matrix is
-    then meaningless). If a stacked SVD does not converge, each sample is
-    solved alone."""
+    and per sample None or its first failed check (its matrix is meaningless).
+    Only this handles an SVD that does not converge (LinAlgError): a block
+    retries each sample as a block of one, where it is degenerate."""
     faults: list[str | None] = [None] * len(S)
     try:
         with np.errstate(all="ignore"):  # arithmetic on samples already flagged
             return solve(S, faults), faults
-    except np.linalg.LinAlgError:
-        M, faults = np.zeros((len(S), 3, 3)), [None] * len(S)
-        for i in range(len(S)):
-            try:
-                M[i] = solve(S[i:i + 1])[0]
-            except DegenerateConfiguration as exc:
-                faults[i] = str(exc)
-        return M, faults
+    except np.linalg.LinAlgError as exc:
+        if len(S) == 1:
+            return np.zeros((1, 3, 3)), [faults[0] or f"constraint matrix SVD: {exc}"]
+    singles = [_in_one_pass(solve, S[i:i + 1]) for i in range(len(S))]
+    return np.concatenate([M for M, _ in singles]), [fault for _, (fault,) in singles]
 
 
 def fundamental_batch(S: FloatArray) -> tuple[FloatArray, list[str | None]]:
@@ -264,12 +253,15 @@ def fundamental_from_acs(acs: Sequence[AffineCorrespondence] | FloatArray) -> Fu
     X = ac_array(acs)
     if len(X) < 3:
         raise TooFewCorrespondences(f"need >= 3 ACs, got {len(X)}")
-    return FundamentalMatrix(_fundamental(X[None])[0])
+    (F,), (fault,) = _in_one_pass(_fundamental, X[None])
+    if fault:
+        raise DegenerateConfiguration(fault)
+    return FundamentalMatrix(F)
 
 
 # --- homography from ACs -------------------------------------------------------
 
-def _homography(S: FloatArray, faults: list | None = None, extra=None) -> FloatArray:
+def _homography(S: FloatArray, faults: list, extra=None) -> FloatArray:
     """H of each sample in S, a (B, n, 8) stack of ac_array rows, plus extra,
     (B, k, 4) bare point pairs x1, y1, x2, y2; faults as in _flag.
 
@@ -319,19 +311,23 @@ def homography_batch(S: FloatArray) -> tuple[FloatArray, list[str | None]]:
 
 def homography_from_acs(
     acs: Sequence[AffineCorrespondence] | FloatArray,
-    extra_points: Sequence[tuple] = (),
+    extra_points: FloatArray | Iterable[tuple] = (),
 ) -> Homography:
     """Homography from ACs (6 equations each; objects or ac_array rows) plus
-    optional bare point pairs (2 DLT equations each); needs >= 8 constraints
-    in total. The rows and their solve are described in _homography.
-    """
-    X = ac_array(acs)
-    n_constraints = 6 * len(X) + 2 * len(extra_points)
+    optional point pairs in any form match_array takes (2 DLT equations each);
+    needs >= 8 constraints in total. The rows and their solve are described in
+    _homography."""
+    X, E = ac_array(acs), match_array(extra_points)
+    n_constraints = 6 * len(X) + 2 * len(E)
     if n_constraints < 8:
         raise TooFewCorrespondences(f"{n_constraints} constraints < 8")
-    p1 = np.reshape([as_vec2(p) for p, _ in extra_points], (-1, 2))
-    p2 = np.reshape([as_vec2(q) for _, q in extra_points], (-1, 2))
-    return Homography(_homography(X[None], extra=np.hstack([p1, p2])[None])[0])
+    if not np.isfinite(E).all():  # as_vec2 names the first bad p, else the first bad q
+        for p in (*E[:, 0:2], *E[:, 2:4]):
+            as_vec2(p)
+    (H,), (fault,) = _in_one_pass(lambda S, faults: _homography(S, faults, E[None]), X[None])
+    if fault:
+        raise DegenerateConfiguration(fault)
+    return Homography(H)
 
 
 # --- essential matrix and pose -------------------------------------------------
@@ -413,17 +409,8 @@ def decompose_essential(
     K2: CameraIntrinsics,
 ) -> RelativePose:
     """Pick the (R, t) candidate in which a strict majority of triangulated
-    points has positive depth in both cameras. The correspondences are an
-    (n, 4) array of x1, y1, x2, y2 rows or n point pairs (p1, p2)."""
-    M = as_mat3(E)
-    try:
-        P = np.asarray(correspondences if isinstance(correspondences, np.ndarray)
-                       else list(correspondences), dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # not iterable, ragged or not numbers
-        raise InvalidArgument(f"correspondences must be (n, 4) rows or pairs: {exc}") from exc
-    if P.shape[1:] not in ((4,), (2, 2)) and P.shape != (0,):
-        raise InvalidArgument(f"correspondences must be (n, 4) or (n, 2, 2), got {P.shape}")
-    P = P.reshape(len(P), 4)
+    point pairs (in any form match_array takes) has positive depth in both cameras."""
+    M, P = as_mat3(E), match_array(correspondences)
     U, _, Vt = np.linalg.svd(M)
     if np.linalg.det(U) < 0.0:
         U = -U

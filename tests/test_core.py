@@ -1,11 +1,12 @@
 """Tests for the affine decomposition / synthesis core."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from affgeo import (
     AffineCorrespondence,
@@ -21,6 +22,7 @@ from affgeo import (
     synthesize_affine,
     wrap_angle,
 )
+from affgeo.core import match_array
 from affgeo.fileio import AC_HEADER, read_acs, write_acs
 from affgeo.errors import InvalidArgument, InvalidValue
 
@@ -238,3 +240,22 @@ class TestAcArray:
     def test_rejects_bad_arrays(self, bad):
         with pytest.raises(ValueError):
             ac_array(bad)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.lists(st.floats(width=64), min_size=4, max_size=4), max_size=6))
+def test_match_array_takes_rows_stacks_and_pairs_alike(rows):
+    P = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+    pairs = [(tuple(r[0:2]), tuple(r[2:4])) for r in rows]
+    for given in (P, P.reshape(-1, 2, 2), np.asfortranarray(P), pairs):
+        M = match_array(given)
+        assert M.shape == (len(rows), 4) and M.dtype == np.float64
+        assert M.tobytes() == P.tobytes()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=4).map(tuple))
+def test_match_array_refuses_other_shapes(shape):
+    assume(shape[1:] not in ((4,), (2, 2)) and shape != (0,))
+    with pytest.raises(InvalidArgument, match=re.escape(f"got {shape}")):
+        match_array(np.zeros(shape))

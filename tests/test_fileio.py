@@ -1,14 +1,16 @@
 """Tests for the bit-exact file formats and run reports."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from affgeo import AffineCorrespondence, CameraIntrinsics, RelativePose
+from affgeo import AffineCorrespondence, CameraIntrinsics, NoiseSpec, RelativePose
+from affgeo import generate_scene, sample_acs
 from affgeo import fileio
-from affgeo.errors import FileFormatError, InvalidValue
+from affgeo.errors import FileFormatError, InvalidArgument, InvalidValue
 from affgeo.fileio import (
     AC_HEADER,
     RunReport,
@@ -116,6 +118,16 @@ class TestTables:
         path = tmp_path / "p.txt"
         path.write_text("1 2\n3\t4\n")
         assert np.array_equal(read_points(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+    @pytest.mark.parametrize("shape", [(50, 8), (2, 2)])
+    def test_matches_of_other_shapes_refused(self, tmp_path, shape):
+        path = tmp_path / "m.csv"
+        write_matches(path, np.ones((3, 4)))
+        kept = path.read_bytes()
+        with pytest.raises(InvalidArgument, match=re.escape(f"got {shape}")):
+            write_matches(path, np.zeros(shape))
+        assert path.read_bytes() == kept
 
 
 class TestFixedFormats:
@@ -441,3 +453,24 @@ def test_pipe_reads_like_a_file(tmp_path):
         assert read_acs(f"/dev/fd/{r}").tobytes() == read_acs(path).tobytes()
     finally:
         os.close(r)
+
+
+def test_crlf_file_takes_the_fast_path(tmp_path, monkeypatch):
+    noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_acs(lf, sample_acs(generate_scene(seed=7, n_planes=2), 600, noise, seed=7)[0])
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    parse_lines, parsed = fileio._parse_lines, []
+
+    def spy(data, *args):
+        parsed.append(data)
+        return parse_lines(data, *args)
+
+    monkeypatch.setattr(fileio, "_parse_lines", spy)
+    X = read_acs(crlf)
+    assert X.shape == (600, 8) and X.tobytes() == read_acs(lf).tobytes()
+    # only the lines through the first row take the per-line rule, as for the LF copy
+    assert parsed[:2] == crlf.read_bytes().splitlines(keepends=True)[:2]
+    assert parsed[2:] == lf.read_bytes().splitlines(keepends=True)[:2]
+    with open(crlf, "rb") as fh:
+        assert fileio._line_bound(fh) <= len(X) + 2

@@ -1,6 +1,7 @@
 """Tests for the evaluation metrics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ class TestMma:
         assert report.n_pairs == 2 and report.n_matches == 20
         expected = (np.ones(10) + np.arange(1, 11) / 10.0) / 2.0
         assert np.allclose(report.curve.values, expected, atol=1e-15)
+
+
+class TestMatchShapes:
+    @pytest.mark.parametrize("shape", [(50, 8), (2, 2)])
+    def test_other_shapes_raise_invalid_argument(self, shape):
+        m = np.zeros(shape)
+        for call in (lambda: mma_curve(m, H_IDENTITY),
+                     lambda: mma_at_threshold(m, H_IDENTITY, 3.0),
+                     lambda: evaluate_matches([(m, H_IDENTITY)])):
+            with pytest.raises(InvalidArgument, match=re.escape(f"got {shape}")):
+                call()
 
 
 class TestAffineSimilarity:

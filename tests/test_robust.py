@@ -614,6 +614,18 @@ class TestRansacHomography:
         assert est.inlier_mask.shape == (10,)
         assert est.inlier_mask.all()
 
+    def test_point_pair_forms_give_the_same_estimate(self):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        for seed in range(3):
+            X = ac_array(sample_acs(planar_scene(seed=40 + seed), 100, noise, seed=seed)[0])
+            rows, cfg = X[60:, 0:4], RansacConfig(threshold=1.0, seed=seed)
+            pairs = [(r[0:2], r[2:4]) for r in rows]
+            want = _estimate_outcome(ransac_homography, X[:60], pairs, cfg)
+            assert isinstance(want[0], bytes)
+            assert np.frombuffer(want[1], dtype=bool)[60:].any()  # the LO refits take extra points
+            for given in (rows, rows.reshape(-1, 2, 2)):
+                assert _estimate_outcome(ransac_homography, X[:60], given, cfg) == want
+
     def test_identical_acs_no_model(self):
         from affgeo import AffineCorrespondence
 

@@ -257,6 +257,15 @@ def _batch_outcomes(S, batch=None, model=FundamentalMatrix):
             for m, fault in zip(M, faults)]
 
 
+# What tells _fundamental's three SVDs apart: the collinearity SVD's input is
+# 4-d, the null-space SVD's rows have 9 columns and the rank-2 SVD's 3.
+_SVD_KINDS = {"collinearity": 4, "nullspace": 9, "rank2": 3}
+
+
+def _svd_kind(a):
+    return a.ndim if a.ndim == 4 else a.shape[-1]
+
+
 def _homography_failure(case, X):
     """X, two clean ac_array rows, made into a sample homography_from_acs
     refuses for the named reason."""
@@ -546,6 +555,55 @@ class TestFundamentalBatch:
                 assert outcome == _solve_outcome(fundamental_from_acs, sample)
 
 
+    @pytest.mark.parametrize("failing", ["collinearity", "nullspace", "rank2"])
+    def test_single_solve_whose_svd_fails_is_degenerate(self, scene, monkeypatch, failing):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        X = ac_array(sample_acs(scene, 200, noise, seed=3)[0])[:3]
+        assert isinstance(_solve_outcome(fundamental_from_acs, X), bytes)
+        svd, raised = np.linalg.svd, []
+
+        def svd_fails(a, *args, **kwargs):
+            if _svd_kind(a) == _SVD_KINDS[failing]:
+                raised.append(a.shape)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_fails)
+        assert _solve_outcome(fundamental_from_acs, X) == (
+            DegenerateConfiguration, "constraint matrix SVD: SVD did not converge")
+        assert len(raised) == 1 and raised[0][0] == 1
+
+    @pytest.mark.parametrize("failing", ["collinearity", "nullspace", "rank2"])
+    def test_block_flags_only_the_sample_whose_own_svd_fails(self, scene, monkeypatch, failing):
+        # As LAPACK fails a stacked SVD when one matrix in it does not converge.
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.4)
+        X = ac_array(sample_acs(scene, 200, noise, seed=4)[0])
+        rng = np.random.default_rng(4)
+        S = X[np.array([rng.choice(len(X), size=3, replace=False) for _ in range(16)])]
+        expected = _batch_outcomes(S)
+        assert isinstance(expected[9], bytes)
+        svd, inputs = np.linalg.svd, []
+
+        def capture(a, *args, **kwargs):
+            if _svd_kind(a) == _SVD_KINDS[failing]:
+                inputs.append(a[0].copy())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", capture)
+        fundamental_from_acs(S[9])
+        poisoned = inputs[-1]
+
+        def fails_on_sample_9(a, *args, **kwargs):
+            if _svd_kind(a) == _SVD_KINDS[failing] and any(np.array_equal(m, poisoned) for m in a):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_on_sample_9)
+        outcomes = _batch_outcomes(S)
+        assert outcomes[9] == (DegenerateConfiguration, "constraint matrix SVD: SVD did not converge")
+        assert outcomes[:9] + outcomes[10:] == expected[:9] + expected[10:]
+
+
 class TestHomographyFromAcs:
     def test_two_acs_recover_gt(self):
         scene = planar_scene(seed=3)
@@ -671,6 +729,22 @@ class TestHomographyFromAcs:
         assert outcome == _named_image(case, _solve_outcome(lambda X: _reference_homography(X, extra), X))
         if case.startswith("nonfinite"):
             assert outcome[0] is InvalidValue
+
+
+    @pytest.mark.parametrize("bad", [None, "p", "q"])
+    def test_point_pair_forms_give_the_same_outcome(self, bad):
+        noise = NoiseSpec(point_sigma=0.5, affine_rel_sigma=0.05, outlier_fraction=0.3)
+        for seed in range(4):
+            X = ac_array(sample_acs(planar_scene(seed=seed), 8, noise, seed=seed)[0])
+            rows = X[3:, 0:4].copy()
+            if bad:  # the first bad p is named before any q, whatever the form
+                rows[3, 0 if bad == "p" else 2] = np.nan
+                rows[1, 3] = np.inf
+            pairs = [(tuple(r[0:2]), tuple(r[2:4])) for r in rows.tolist()]
+            want = _solve_outcome(lambda X: homography_from_acs(X, pairs), X[:3])
+            assert isinstance(want, bytes) == (bad is None)
+            for given in (rows, rows.reshape(-1, 2, 2), np.asfortranarray(rows)):
+                assert _solve_outcome(lambda X: homography_from_acs(X, given), X[:3]) == want
 
 
 class TestHomographyBatch:

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import AffineCorrespondence, CameraIntrinsics, Mat3, ac_array, match_array
-from .errors import FileFormatError, InvalidValue
+from .errors import FileFormatError, InvalidArgument, InvalidValue
 from .solvers import RelativePose
 
 AC_HEADER = "x1,y1,x2,y2,a11,a12,a21,a22"
@@ -143,9 +143,10 @@ def read_acs(path) -> np.ndarray:
 
 def write_acs(path, acs: Sequence[AffineCorrespondence] | np.ndarray) -> None:
     """AC file from a list of AffineCorrespondence or an ac_array."""
+    rows = ac_array(acs).tolist()  # before the file is opened: a refusal leaves it as it was
     with open(path, "w", encoding="ascii") as fh:
         fh.write(AC_HEADER + "\n")
-        for row in ac_array(acs).tolist():
+        for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
@@ -168,9 +169,17 @@ def read_points(path) -> np.ndarray:
 
 
 def write_points(path, points) -> None:
+    """Point file from an (n, 2) array or n pairs (x, y) (an empty list is no
+    points); any other shape raises InvalidArgument before the file is opened."""
+    try:
+        P = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged or not numbers
+        raise InvalidArgument(f"points must be (n, 2) rows: {exc}") from exc
+    if P.shape[1:] != (2,) and P.shape != (0,):
+        raise InvalidArgument(f"points must be (n, 2), got {P.shape}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(POINT_HEADER + "\n")
-        for row in np.asarray(points, dtype=float).reshape(-1, 2):
+        for row in P.reshape(-1, 2):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 

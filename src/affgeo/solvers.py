@@ -443,14 +443,21 @@ def gt_affine_from_homography(H, p1) -> Mat2:
     """Jacobian of the H-induced warp at p1: the ground-truth local affinity."""
     M = as_mat3(H)
     x, y = as_vec2(p1)
-    s = M[2, 0] * x + M[2, 1] * y + M[2, 2]
-    if abs(s) <= 1e-12:
+    J = _warp_jacobian(M.tolist(), float(x), float(y))
+    if J is None:
+        s = M[2, 0] * x + M[2, 1] * y + M[2, 2]
         raise PointAtInfinity(f"denominator {s:.3e} at point ({x}, {y})")
-    x2 = (M[0, 0] * x + M[0, 1] * y + M[0, 2]) / s
-    y2 = (M[1, 0] * x + M[1, 1] * y + M[1, 2]) / s
-    return np.array(
-        [
-            [(M[0, 0] - x2 * M[2, 0]) / s, (M[0, 1] - x2 * M[2, 1]) / s],
-            [(M[1, 0] - y2 * M[2, 0]) / s, (M[1, 1] - y2 * M[2, 1]) / s],
-        ]
-    )
+    return np.array(J).reshape(2, 2)
+
+
+def _warp_jacobian(entries, x: float, y: float) -> tuple[float, float, float, float] | None:
+    """(a11, a12, a21, a22) of the warp by H, given as nested row lists of
+    floats, at (x, y); None where (x, y) maps to infinity. Python floats round
+    each operation as numpy float64 scalars do, so the bits are the same."""
+    (h11, h12, h13), (h21, h22, h23), (h31, h32, h33) = entries
+    s = h31 * x + h32 * y + h33
+    if abs(s) <= 1e-12:
+        return None
+    x2 = (h11 * x + h12 * y + h13) / s
+    y2 = (h21 * x + h22 * y + h23) / s
+    return (h11 - x2 * h31) / s, (h12 - x2 * h32) / s, (h21 - y2 * h31) / s, (h22 - y2 * h32) / s

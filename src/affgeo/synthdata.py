@@ -15,15 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AffineCorrespondence, CameraIntrinsics, FloatArray, Mat3
-from .errors import DegenerateConfiguration, InvalidArgument, InvalidValue, PointAtInfinity
+from .errors import DegenerateConfiguration, InvalidArgument, InvalidValue
 from .residuals import FundamentalMatrix
-from .solvers import (
-    Homography,
-    RelativePose,
-    axis_angle_rotation,
-    gt_affine_from_homography,
-    skew3,
-)
+from .solvers import Homography, RelativePose, _warp_jacobian, axis_angle_rotation, skew3
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,12 @@ def sample_acs(
     Points are uniform in the first image and rejected unless visible with
     positive depth in both views; the affinity is the plane homography's
     Jacobian at p1. Noise is then applied per the NoiseSpec; outliers replace
-    p2 with a uniform point and A with a random matrix, keeping p1.
+    p2 with a uniform point and A with a random matrix, keeping p1. The ACs
+    are views of the rows of one (n, 8) ac_array.
+
+    The random draws and their order are part of the output: every seeded
+    result of this package is stated on this stream, so a change to it must
+    reproduce it bit for bit.
     """
     noise = noise if noise is not None else NoiseSpec()
     if n < 1:
@@ -180,56 +179,66 @@ def sample_acs(
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     w, h = scene.image_size
+    image = np.array([w, h], dtype=np.float64)
     K1inv = np.linalg.inv(scene.K1.K)
+    K2 = scene.K2.K
     R, t = scene.pose.R, scene.pose.t
+    warps = [H.matrix.tolist() for H in scene.homographies]
 
-    base = []
+    out = np.empty((n, 8))
+    k = 0
     attempts = 0
-    while len(base) < n:
+    while k < n:
         attempts += 1
         if attempts > 1000 * n:
             raise DegenerateConfiguration("AC sampling stalled; scene has almost no covisible area")
         plane_idx = int(rng.integers(len(scene.planes)))
-        p1 = rng.uniform((0.0, 0.0), (float(w), float(h)))
+        # uniform((0, 0), (w, h)) draws 0 + (w - 0) * next_double() per value:
+        # random(2) * image gives the same bits, without uniform's argument checks
+        x, y = (rng.random(2) * image).tolist()
         normal, offset = scene.planes[plane_idx]
-        ray = K1inv @ np.array([p1[0], p1[1], 1.0])
+        # these products stay numpy: BLAS gemv may fuse a multiply and an add
+        ray = K1inv @ np.array([x, y, 1.0])
         along = float(normal @ ray)
         if along <= 1e-9:
             continue
-        X = (offset / along) * ray
-        X2 = R @ X + t
+        X2 = R @ ((offset / along) * ray) + t
         if X2[2] <= 1e-6:
             continue
-        p2 = _project(scene.K2.K, X2)
-        if not (0.0 <= p2[0] <= w and 0.0 <= p2[1] <= h):
+        u, v = _project(K2, X2).tolist()
+        if not (0.0 <= u <= w and 0.0 <= v <= h):
             continue
-        try:
-            A = gt_affine_from_homography(scene.homographies[plane_idx], p1)
-        except PointAtInfinity:
+        A = _warp_jacobian(warps[plane_idx], x, y)
+        if A is None:
             continue
-        base.append((p1, p2, A))
+        out[k] = (x, y, u, v, *A)
+        k += 1
 
     labels = np.ones(n, dtype=bool)
     n_out = int(round(noise.outlier_fraction * n))
     if n_out:
         labels[rng.choice(n, size=n_out, replace=False)] = False
     point_noise = rng.normal(0.0, noise.point_sigma, size=(n, 2))
-    affine_noise = rng.normal(0.0, noise.affine_rel_sigma, size=(n, 2, 2))
+    affine_noise = rng.normal(0.0, noise.affine_rel_sigma, size=(n, 4))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge sigmas: refused below
+        out[:, 2:4] += point_noise
+        out[:, 4:8] *= 1.0 + affine_noise
+    for i in np.flatnonzero(~labels):
+        out[i, 2:4] = rng.random(2) * image
+        out[i, 4:8] = rng.normal(0.0, 1.0, size=4)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        row = out[np.argmin(finite)]
+        try:
+            AffineCorrespondence(row[0:2], row[2:4], row[4:8].reshape(2, 2))
+        except InvalidValue as exc:
+            raise InvalidArgument(f"noise sigmas overflow the sample: {exc}") from exc
+    return [_row_view(row) for row in out], labels
 
-    acs = []
-    for i, (p1, p2, A) in enumerate(base):
-        if labels[i]:
-            try:  # sigmas near the largest double overflow
-                ac = AffineCorrespondence(p1, p2 + point_noise[i], A * (1.0 + affine_noise[i]))
-            except InvalidValue as exc:
-                raise InvalidArgument(f"noise sigmas overflow the sample: {exc}") from exc
-            acs.append(ac)
-        else:
-            acs.append(
-                AffineCorrespondence(
-                    p1=p1,
-                    p2=rng.uniform((0.0, 0.0), (float(w), float(h))),
-                    A=rng.normal(0.0, 1.0, size=(2, 2)),
-                )
-            )
-    return acs, labels
+
+def _row_view(row: FloatArray) -> AffineCorrespondence:
+    """The AC whose p1, p2 and A view a finite ac_array row, built without
+    repeating the checks that the row passed."""
+    ac = object.__new__(AffineCorrespondence)
+    ac.__dict__.update(p1=row[0:2], p2=row[2:4], A=row[4:8].reshape(2, 2))
+    return ac

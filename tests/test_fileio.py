@@ -129,6 +129,31 @@ class TestTables:
             write_matches(path, np.zeros(shape))
         assert path.read_bytes() == kept
 
+    @pytest.mark.parametrize("points, message", [
+        (np.zeros((3, 4)), "got (3, 4)"),
+        (np.zeros(3), "got (3,)"),
+        (np.zeros((2, 2, 2)), "got (2, 2, 2)"),
+        (np.zeros(()), "got ()"),
+        ([[1.0, 2.0], [3.0]], "must be (n, 2) rows"),
+    ])
+    def test_points_of_other_shapes_refused(self, tmp_path, points, message):
+        path = tmp_path / "p.csv"
+        write_points(path, [[3.0, 4.0], [5.0, 6.0]])
+        kept = path.read_bytes()
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
+            write_points(path, points)
+        assert path.read_bytes() == kept
+
+    def test_refused_acs_leave_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_acs(path, np.ones((2, 8)))
+        kept = path.read_bytes()
+        with pytest.raises(InvalidValue, match=re.escape("got (2, 7)")):
+            write_acs(path, np.zeros((2, 7)))
+        with pytest.raises(InvalidValue, match="non-finite"):
+            write_acs(path, np.full((2, 8), np.nan))
+        assert path.read_bytes() == kept
+
 
 class TestFixedFormats:
     def test_mat3_three_line_and_one_line(self, tmp_path):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AffineCorrespondence, ac_array
+from .core import AffineCorrespondence
 from .errors import (
     AffgeoError,
     CheiralityAmbiguity,
@@ -28,8 +28,12 @@ from .errors import (
     TooFewCorrespondences,
 )
 from .fileio import (
-    AC_HEADER,
+    RESIDUAL_COLUMNS,  # kept importable as cli.RESIDUAL_COLUMNS
     RunReport,
+    _MMA_TABLE,
+    _POSE_ERROR_TABLE,
+    _RESIDUAL_TABLE,
+    _write_table,
     fmt,
     read_acs,
     read_intrinsics,
@@ -71,11 +75,9 @@ from .solvers import (
 )
 from .synthdata import CameraSpec, NoiseSpec, generate_scene, sample_acs
 
-RESIDUAL_COLUMNS = "index,e_pc,sd_p,m0,n0,sd_a1,sd_a2"
-
 # Exit code per error class, looked up along the error's MRO; other AffgeoErrors exit 3.
 EXIT_CODES = {
-    InvalidArgument: 2, FileFormatError: 2, OSError: 2, UnicodeDecodeError: 2,
+    InvalidArgument: 2, FileFormatError: 2, OSError: 2,
     NoModelFound: 4, CheiralityAmbiguity: 4,
     TooFewCorrespondences: 5,
     AffgeoError: 3, MemoryError: 3,
@@ -96,21 +98,14 @@ def cmd_residuals(args) -> int:
     m0, n0 = m_terms[0], n_terms[0]
     sd_a1, sd_a2 = sampson_affine_batch(x1, y1, x2, y2, a11, a12, a21, a22, F)
 
-    lines = [RESIDUAL_COLUMNS]
-    for i in range(len(acs)):
-        values = (e_pc[i], sd_p[i], m0[i], n0[i], sd_a1[i], sd_a2[i])
-        lines.append(",".join([str(i)] + [fmt(v) for v in values]))
-    table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
+    table = np.column_stack([np.arange(len(acs)), e_pc, sd_p, m0, n0, sd_a1, sd_a2])
+    _write_table(sys.stdout, table, *_RESIDUAL_TABLE)
     if args.csv:
-        Path(args.csv).write_text(table, encoding="ascii")
+        _write_table(args.csv, table, *_RESIDUAL_TABLE)
 
     report = RunReport(
         command="residuals",
-        config={
-            "ac_file": args.ac_file,
-            "f_file": args.f_file,
-        },
+        config={"ac_file": args.ac_file, "f_file": args.f_file},
         metrics={
             "n": len(acs),
             "e_pc_max_abs": float(np.max(np.abs(e_pc))),
@@ -182,7 +177,12 @@ def _stem_index(directory: str) -> dict[str, Path]:
     root = Path(directory)
     if not root.is_dir():
         raise FileFormatError(f"{directory} is not a directory")
-    return {p.stem: p for p in sorted(root.iterdir()) if p.is_file()}
+    index: dict[str, Path] = {}
+    for path in sorted(p for p in root.iterdir() if p.is_file()):
+        if path.stem in index:
+            raise FileFormatError(f"{index[path.stem]} and {path} share the stem {path.stem!r}")
+        index[path.stem] = path
+    return index
 
 
 def cmd_eval_mma(args) -> int:
@@ -190,36 +190,26 @@ def cmd_eval_mma(args) -> int:
     gt_index = _stem_index(args.gt_dir)
     if not matches_index:
         raise FileFormatError(f"no match files found in {args.matches_dir}")
-    pairs = []
-    per_pair = {}
+    pairs = {}
     for stem, match_path in matches_index.items():
         if stem not in gt_index:
             raise FileFormatError(f"no ground-truth homography for pair {stem!r}")
-        matches = read_matches(match_path)
-        H = Homography(read_mat3(gt_index[stem]))
-        pairs.append((matches, H))
-        per_pair[stem] = mma_curve(matches, H)
-    report_data = evaluate_matches(pairs)
+        pairs[stem] = (read_matches(match_path), Homography(read_mat3(gt_index[stem])))
+    report_data = evaluate_matches(pairs.values())
 
     if args.csv:
-        rows = ["threshold,mma"] + [
-            f"{thr},{fmt(v)}"
-            for thr, v in zip(MMA_THRESHOLDS, report_data.curve.values)
-        ]
-        Path(args.csv).write_text("\n".join(rows) + "\n", encoding="ascii")
+        curve = np.column_stack([MMA_THRESHOLDS, report_data.curve.values])
+        _write_table(args.csv, curve, *_MMA_TABLE)
 
     metrics = {"n_pairs": report_data.n_pairs, "n_matches": report_data.n_matches}
-    for stem, curve in per_pair.items():
-        metrics[f"pair.{stem}.mma_score"] = mma_score(curve)
+    for stem, (matches, H) in pairs.items():
+        metrics[f"pair.{stem}.mma_score"] = mma_score(mma_curve(matches, H))
     for thr, v in zip(MMA_THRESHOLDS, report_data.curve.values):
         metrics[f"mma@{thr}"] = float(v)
     metrics["mma_score"] = report_data.mma_score
     report = RunReport(
         command="eval-mma",
-        config={
-            "matches_dir": args.matches_dir,
-            "gt_dir": args.gt_dir,
-        },
+        config={"matches_dir": args.matches_dir, "gt_dir": args.gt_dir},
         metrics=metrics,
     )
     sys.stdout.write(render_report(report))
@@ -243,32 +233,27 @@ def cmd_eval_pose(args) -> int:
         raise FileFormatError(f"no pose files found in {args.est_dir}")
     if sorted(est_index) != sorted(gt_index):
         raise FileFormatError("pose file stems do not align between the two directories")
-    rot_errors, trans_errors, combined = [], [], []
-    metrics: dict = {"n_pairs": len(est_index)}
-    csv_rows = ["pair,rotation_error_deg,translation_error_deg"]
-    for stem in sorted(est_index):
-        err = pose_error(read_pose(est_index[stem]), read_pose(gt_index[stem]))
-        rot_errors.append(err.rotation_error)
-        trans_errors.append(err.translation_error)
-        combined.append(max(err.rotation_error, err.translation_error))
-        metrics[f"pair.{stem}.rotation_error_deg"] = err.rotation_error
-        metrics[f"pair.{stem}.translation_error_deg"] = err.translation_error
-        csv_rows.append(f"{stem},{fmt(err.rotation_error)},{fmt(err.translation_error)}")
+    stems = sorted(est_index)
+    errors = [pose_error(read_pose(est_index[s]), read_pose(gt_index[s])) for s in stems]
+    rot_errors = [e.rotation_error for e in errors]
+    trans_errors = [e.translation_error for e in errors]
+    metrics: dict = {"n_pairs": len(stems)}
+    for stem, rot, trans in zip(stems, rot_errors, trans_errors):
+        metrics[f"pair.{stem}.rotation_error_deg"] = rot
+        metrics[f"pair.{stem}.translation_error_deg"] = trans
+    combined = list(map(max, rot_errors, trans_errors))
     for tau, auc in zip(thresholds, pose_auc(combined, thresholds)):
         metrics[f"auc@{fmt(tau)}"] = auc
     if args.csv:
-        Path(args.csv).write_text("\n".join(csv_rows) + "\n", encoding="ascii")
+        table = np.array([stems, rot_errors, trans_errors], dtype=object).T
+        _write_table(args.csv, table, *_POSE_ERROR_TABLE)
     metrics["rotation_rmse_deg"] = rmse(rot_errors)
     metrics["rotation_median_deg"] = median(rot_errors)
     metrics["translation_rmse_deg"] = rmse(trans_errors)
     metrics["translation_median_deg"] = median(trans_errors)
     report = RunReport(
         command="eval-pose",
-        config={
-            "est_dir": args.est_dir,
-            "gt_dir": args.gt_dir,
-            "thresholds_deg": args.thresholds,
-        },
+        config={"est_dir": args.est_dir, "gt_dir": args.gt_dir, "thresholds_deg": args.thresholds},
         metrics=metrics,
     )
     sys.stdout.write(render_report(report))
@@ -282,11 +267,8 @@ def cmd_synth(args) -> int:
     probe.write_text("", encoding="ascii")
     probe.unlink()
     scene = generate_scene(seed=args.seed, n_planes=args.planes, camera_spec=CameraSpec())
-    noise = NoiseSpec(
-        point_sigma=args.point_sigma,
-        affine_rel_sigma=args.affine_sigma,
-        outlier_fraction=args.outliers,
-    )
+    noise = NoiseSpec(point_sigma=args.point_sigma, affine_rel_sigma=args.affine_sigma,
+                      outlier_fraction=args.outliers)
     acs, labels = sample_acs(scene, args.n, noise, seed=args.seed + 1)
     write_acs(out_dir / "acs.csv", acs)
     write_labels(out_dir / "labels.txt", labels)
@@ -339,9 +321,7 @@ def cmd_gt_affine(args) -> int:
         )
         sys.stdout.write(render_report(report))
     else:
-        sys.stdout.write(AC_HEADER + "\n")
-        for row in ac_array(rows).tolist():
-            sys.stdout.write(",".join(fmt(v) for v in row) + "\n")
+        write_acs(sys.stdout, rows)
     if skipped:
         sys.stderr.write(f"warning: skipped {skipped} point(s) at infinity\n")
         return 3

@@ -15,7 +15,15 @@ rest are read in blocks of _BLOCK_LINES lines. A block holding only digits,
 call, and kept when that gives one row of finite values per line. Any other
 block goes through the per-line rule, so each error keeps its message and
 line, and the first fault in file order is reported. Memory is the array
-plus one block (a pipe, which cannot be read twice, is held whole).
+plus one block (a pipe, which cannot be read twice, is held whole). Every
+reader names the line of a non-ASCII byte (_lines).
+
+Every table the package writes, to a file or stdout, goes through one
+routine, _write_table: an optional header, then each row as the text of one
+%-format ("%.17g" per real, the text fmt gives), _BLOCK_LINES rows to a
+.tolist() and a write call, so memory is the array plus one block of text.
+Each writer checks its input before it opens the file, so input it refuses
+leaves an existing file as it was.
 """
 
 from __future__ import annotations
@@ -35,11 +43,37 @@ from .solvers import RelativePose
 AC_HEADER = "x1,y1,x2,y2,a11,a12,a21,a22"
 MATCH_HEADER = "x1,y1,x2,y2"
 POINT_HEADER = "x,y"
+RESIDUAL_COLUMNS = "index,e_pc,sd_p,m0,n0,sd_a1,sd_a2"
 
 
 def fmt(v: float) -> str:
     """17-significant-digit representation (exact at double precision)."""
     return f"{float(v):.17g}"
+
+
+def _reals(n: int, sep: str = ",") -> str:
+    """The row format of n reals, each cell the text fmt gives."""
+    return sep.join(["%.17g"] * n) + "\n"
+
+
+# The CLI's tables: (row format, header).
+_RESIDUAL_TABLE = ("%d," + _reals(6), RESIDUAL_COLUMNS)
+_MMA_TABLE = ("%d,%.17g\n", "threshold,mma")
+_POSE_ERROR_TABLE = ("%s," + _reals(2), "pair,rotation_error_deg,translation_error_deg")
+
+
+def _write_table(dest, rows: np.ndarray, row_format: str, header: str | None = None) -> None:
+    """The one table writer: to dest, an open text stream or a path it opens,
+    the header line if any, then row_format % row for each row of the 2-D
+    array rows, converting and writing _BLOCK_LINES rows at a time."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="ascii") as fh:
+            return _write_table(fh, rows, row_format, header)
+    if header is not None:
+        dest.write(header + "\n")
+    for start in range(0, len(rows), _BLOCK_LINES):
+        block = rows[start:start + _BLOCK_LINES]
+        dest.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 # --- tabular formats -----------------------------------------------------------
@@ -62,6 +96,18 @@ def _line_bound(fh) -> int:
     return bound
 
 
+def _lines(data: bytes, what: str, line_no: int = 0):
+    """(line number, line, line without its comment and outer spaces) for
+    each line of data, numbered on from line_no; a non-ASCII byte raises
+    FileFormatError naming its line."""
+    for line_no, raw in enumerate(
+        data.decode("ascii", "surrogateescape").splitlines(), start=line_no + 1
+    ):
+        if not raw.isascii():
+            raise FileFormatError(f"non-ASCII byte in {what} file", line=line_no)
+        yield line_no, raw, raw.split("#", 1)[0].strip()
+
+
 def _parse_lines(data: bytes, table: np.ndarray, n_rows: int, line_no: int,
                  what: str) -> tuple[int, int]:
     """The per-line rule. The rows of data's lines, numbered on from line_no,
@@ -69,12 +115,7 @@ def _parse_lines(data: bytes, table: np.ndarray, n_rows: int, line_no: int,
     number. A line holding only letters before the first row is a header;
     any other line that is not blank or a comment must hold one finite real
     per column of table, or FileFormatError names it."""
-    for line_no, raw in enumerate(
-        data.decode("ascii", "surrogateescape").splitlines(), start=line_no + 1
-    ):
-        if not raw.isascii():
-            raise FileFormatError(f"non-ASCII byte in {what} file", line=line_no)
-        line = raw.split("#", 1)[0].strip()
+    for line_no, raw, line in _lines(data, what, line_no):
         if not line:
             continue
         fields = line.replace(",", " ").split()
@@ -142,12 +183,9 @@ def read_acs(path) -> np.ndarray:
 
 
 def write_acs(path, acs: Sequence[AffineCorrespondence] | np.ndarray) -> None:
-    """AC file from a list of AffineCorrespondence or an ac_array."""
-    rows = ac_array(acs).tolist()  # before the file is opened: a refusal leaves it as it was
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(AC_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    """AC file (or table on an open text stream) from a list of
+    AffineCorrespondence or an ac_array."""
+    _write_table(path, ac_array(acs), _reals(8), AC_HEADER)
 
 
 def read_matches(path) -> np.ndarray:
@@ -156,11 +194,7 @@ def read_matches(path) -> np.ndarray:
 
 
 def write_matches(path, matches) -> None:
-    rows = match_array(matches)  # before the file is opened: a refusal leaves it as it was
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(MATCH_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    _write_table(path, match_array(matches), _reals(4), MATCH_HEADER)
 
 
 def read_points(path) -> np.ndarray:
@@ -177,74 +211,59 @@ def write_points(path, points) -> None:
         raise InvalidArgument(f"points must be (n, 2) rows: {exc}") from exc
     if P.shape[1:] != (2,) and P.shape != (0,):
         raise InvalidArgument(f"points must be (n, 2), got {P.shape}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(POINT_HEADER + "\n")
-        for row in P.reshape(-1, 2):
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    _write_table(path, P.reshape(-1, 2), _reals(2), POINT_HEADER)
 
 
 # --- fixed-size formats ----------------------------------------------------------
 
-def _numeric_tokens(path, what: str) -> list[float]:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+def _numeric_tokens(path, what: str, *counts: int) -> list[float]:
+    """The reals of a fixed-size file: as many as one of counts, if given."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     values = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, _, line in _lines(data, what):
         for tok in line.replace(",", " ").split():
             try:
                 values.append(float(tok))
             except ValueError:
                 raise FileFormatError(f"unparseable {what} value {tok!r}", line=line_no)
+    if counts and len(values) not in counts:
+        expected = " or ".join(map(str, counts))
+        raise InvalidValue(f"{what} file {path} holds {len(values)} values, expected {expected}")
     return values
 
 
 def read_mat3(path) -> Mat3:
     """9 whitespace-separated reals, row-major; 1- or 3-line layouts both parse."""
-    values = _numeric_tokens(path, "matrix")
-    if len(values) != 9:
-        raise InvalidValue(f"matrix file {path} holds {len(values)} values, expected 9")
-    return np.array(values, dtype=float).reshape(3, 3)
+    return np.array(_numeric_tokens(path, "matrix", 9), dtype=float).reshape(3, 3)
 
 
 def write_mat3(path, M) -> None:
-    M = np.asarray(M, dtype=float).reshape(3, 3)
-    with open(path, "w", encoding="ascii") as fh:
-        for row in M:
-            fh.write(" ".join(fmt(v) for v in row) + "\n")
+    _write_table(path, np.asarray(M, dtype=float).reshape(3, 3), _reals(3, " "))
 
 
 def read_pose(path) -> RelativePose:
     """Line 1: rotation as 9 row-major reals; line 2: unit translation, 3 reals."""
-    values = _numeric_tokens(path, "pose")
-    if len(values) != 12:
-        raise InvalidValue(f"pose file {path} holds {len(values)} values, expected 12")
+    values = _numeric_tokens(path, "pose", 12)
     return RelativePose(R=np.array(values[:9]).reshape(3, 3), t=np.array(values[9:]))
 
 
 def write_pose(path, pose: RelativePose) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(" ".join(fmt(v) for v in pose.R.ravel()) + "\n")
-        fh.write(" ".join(fmt(v) for v in pose.t) + "\n")
+    # one row of 12 reals: R row-major on line 1, t on line 2
+    row = np.concatenate([pose.R.ravel(), pose.t])[None]
+    _write_table(path, row, _reals(9, " ") + _reals(3, " "))
 
 
 def read_intrinsics(path) -> CameraIntrinsics:
     """One line: fx fy cx cy [skew]."""
-    values = _numeric_tokens(path, "intrinsics")
-    if len(values) not in (4, 5):
-        raise InvalidValue(
-            f"intrinsics file {path} holds {len(values)} values, expected 4 or 5"
-        )
+    values = _numeric_tokens(path, "intrinsics", 4, 5)
     skew = values[4] if len(values) == 5 else 0.0
     return CameraIntrinsics(fx=values[0], fy=values[1], cx=values[2], cy=values[3], skew=skew)
 
 
 def write_intrinsics(path, K: CameraIntrinsics) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fields = [K.fx, K.fy, K.cx, K.cy] + ([K.skew] if K.skew != 0.0 else [])
-        fh.write(" ".join(fmt(v) for v in fields) + "\n")
+    fields = [K.fx, K.fy, K.cx, K.cy] + ([K.skew] if K.skew != 0.0 else [])
+    _write_table(path, np.array([fields], dtype=float), _reals(len(fields), " "))
 
 
 def read_labels(path) -> np.ndarray:
@@ -255,9 +274,12 @@ def read_labels(path) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for v in np.asarray(labels).astype(bool):
-            fh.write(("1" if v else "0") + "\n")
+    """Label file from n values read as bools, (n,) or (n, 1); any other shape
+    raises InvalidArgument before the file is opened."""
+    mask = np.asarray(labels).astype(bool)
+    if mask.ndim == 0 or mask.size != len(mask):
+        raise InvalidArgument(f"labels must be (n,), got {mask.shape}")
+    _write_table(path, mask.reshape(-1, 1).view(np.uint8), "%d\n")
 
 
 # --- run reports ---------------------------------------------------------------
@@ -299,15 +321,12 @@ class RunReport:
 
 
 def render_report(report: RunReport) -> str:
-    out = io.StringIO()
-    out.write(f"command = {report.command}\n")
+    lines = [f"command = {report.command}"]
     if report.seed is not None:
-        out.write(f"seed = {int(report.seed)}\n")
-    for key, value in report.config.items():
-        out.write(f"config.{key} = {_render_value(value)}\n")
-    for key, value in report.metrics.items():
-        out.write(f"metric.{key} = {_render_value(value)}\n")
-    return out.getvalue()
+        lines.append(f"seed = {int(report.seed)}")
+    lines += [f"config.{key} = {_render_value(value)}" for key, value in report.config.items()]
+    lines += [f"metric.{key} = {_render_value(value)}" for key, value in report.metrics.items()]
+    return "\n".join(lines) + "\n"
 
 
 def parse_report(text: str) -> RunReport:

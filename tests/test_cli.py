@@ -410,6 +410,14 @@ class TestEvalMma:
         code, _, _ = run_cli(["eval-mma", matches, gt])
         assert code == 2
 
+    def test_shared_stem_exit_2(self, mma_dirs, capsys):
+        # p1.csv and p1.txt would both be pair "p1"; one of them was dropped unread
+        matches, gt = mma_dirs
+        write_matches(matches / "pair1.txt", np.array([[0.0, 0.0, 0.0, 0.0]]))
+        assert main(["eval-mma", str(matches), str(gt)]) == 2
+        (line,) = _error_lines(capsys.readouterr().err)
+        assert str(matches / "pair1.csv") in line and str(matches / "pair1.txt") in line
+
     def test_csv_curve(self, mma_dirs, tmp_path, capsys):
         matches, gt = mma_dirs
         csv = tmp_path / "curve.csv"
@@ -456,6 +464,19 @@ class TestEvalPose:
         assert metrics["auc@5"] == 1.0
         assert metrics["rotation_rmse_deg"] == 0.0
         assert metrics["translation_rmse_deg"] == 0.0
+
+    @pytest.mark.parametrize("second_gt", [False, True])
+    def test_shared_stem_exit_2(self, tmp_path, capsys, second_gt):
+        # est/a.txt and est/a.csv against gt/a.txt: est/a.csv was dropped unread,
+        # and with a second gt file the counts read "1 estimated vs 2"
+        for name in ("est", "gt"):
+            (tmp_path / name).mkdir()
+        pose = RelativePose(R=np.eye(3), t=[1.0, 0.0, 0.0])
+        for path in ["est/a.txt", "est/a.csv", "gt/a.txt"] + ["gt/b.txt"] * second_gt:
+            write_pose(tmp_path / path, pose)
+        assert main(["eval-pose", str(tmp_path / "est"), str(tmp_path / "gt")]) == 2
+        (line,) = _error_lines(capsys.readouterr().err)
+        assert str(tmp_path / "est" / "a.csv") in line and str(tmp_path / "est" / "a.txt") in line
 
     def test_count_mismatch_exit_2(self, pose_dirs):
         est, gt = pose_dirs

@@ -1,19 +1,36 @@
 """Tests for the bit-exact file formats and run reports."""
 
+import contextlib
+import io
 import os
 import re
+import shutil
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from affgeo import AffineCorrespondence, CameraIntrinsics, NoiseSpec, RelativePose
-from affgeo import generate_scene, sample_acs
+from affgeo import ac_array, generate_scene, sample_acs
 from affgeo import fileio
-from affgeo.errors import FileFormatError, InvalidArgument, InvalidValue
+from affgeo.cli import main
+from affgeo.core import match_array
+from affgeo.errors import (
+    DegenerateConfiguration,
+    FileFormatError,
+    InvalidArgument,
+    InvalidValue,
+    PointAtInfinity,
+)
 from affgeo.fileio import (
     AC_HEADER,
+    MATCH_HEADER,
+    POINT_HEADER,
     RunReport,
+    fmt,
     parse_report,
     read_acs,
     read_intrinsics,
@@ -31,7 +48,22 @@ from affgeo.fileio import (
     write_points,
     write_pose,
 )
-from affgeo.solvers import axis_angle_rotation
+from affgeo.metrics import MMA_THRESHOLDS, evaluate_matches, pose_error
+from affgeo.residuals import (
+    FundamentalMatrix,
+    affine_terms,
+    epipolar_terms,
+    sampson_affine_batch,
+    sampson_point_batch,
+)
+from affgeo.solvers import (
+    Homography,
+    apply_homography,
+    axis_angle_rotation,
+    gt_affine_from_homography,
+)
+
+from conftest import cli_env
 
 TRICKY = [0.1, -1.0 / 3.0, 1e-300, 2.5e17, -7.125, np.pi, 1.0000000000000002]
 
@@ -244,10 +276,10 @@ POSITIVE = st.one_of(
 )
 
 
-def _tables(n_fields, n_rows=st.integers(0, 4)):
+def _tables(n_fields, n_rows=st.integers(0, 4), reals=DOUBLES):
     return n_rows.flatmap(
-        lambda n: st.lists(DOUBLES, min_size=n * n_fields, max_size=n * n_fields).map(
-            lambda v: np.reshape(v, (-1, n_fields))
+        lambda n: st.lists(reals, min_size=n * n_fields, max_size=n * n_fields).map(
+            lambda v: np.reshape(np.array(v, dtype=np.float64), (-1, n_fields))
         )
     )
 
@@ -499,3 +531,306 @@ def test_crlf_file_takes_the_fast_path(tmp_path, monkeypatch):
     assert parsed[2:] == lf.read_bytes().splitlines(keepends=True)[:2]
     with open(crlf, "rb") as fh:
         assert fileio._line_bound(fh) <= len(X) + 2
+
+
+# --- the one table writer against the per-value writers it replaced ---------------
+
+def _reference_write_acs(path, acs):
+    rows = ac_array(acs).tolist()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(AC_HEADER + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def _reference_write_matches(path, matches):
+    rows = match_array(matches)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(MATCH_HEADER + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def _reference_write_points(path, points):
+    P = np.asarray(points, dtype=np.float64)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(POINT_HEADER + "\n")
+        for row in P.reshape(-1, 2):
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def _reference_write_mat3(path, M):
+    M = np.asarray(M, dtype=float).reshape(3, 3)
+    with open(path, "w", encoding="ascii") as fh:
+        for row in M:
+            fh.write(" ".join(fmt(v) for v in row) + "\n")
+
+
+def _reference_write_pose(path, pose):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(" ".join(fmt(v) for v in pose.R.ravel()) + "\n")
+        fh.write(" ".join(fmt(v) for v in pose.t) + "\n")
+
+
+def _reference_write_intrinsics(path, K):
+    with open(path, "w", encoding="ascii") as fh:
+        fields = [K.fx, K.fy, K.cx, K.cy] + ([K.skew] if K.skew != 0.0 else [])
+        fh.write(" ".join(fmt(v) for v in fields) + "\n")
+
+
+def _reference_write_labels(path, labels):
+    with open(path, "w", encoding="ascii") as fh:
+        for v in np.asarray(labels).astype(bool):
+            fh.write(("1" if v else "0") + "\n")
+
+
+# DOUBLES' edge cases, the largest double and integral floats; ANY_REALS
+# adds the non-finite values that a matrix file may hold.
+EDGE_REALS = st.one_of(
+    DOUBLES,
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16]),
+    st.integers(-10**6, 10**6).map(float),
+)
+ANY_REALS = st.one_of(EDGE_REALS, st.sampled_from([np.inf, -np.inf, np.nan, -np.nan]))
+
+
+def _arrays(n_fields, reals=EDGE_REALS, n_rows=st.integers(0, 7)):
+    return _tables(n_fields, n_rows, reals)
+
+
+_LABELS = st.one_of(
+    st.lists(st.booleans(), max_size=9),
+    st.lists(st.sampled_from([0, 1, 2, -1]), max_size=9).map(np.array),
+    st.lists(EDGE_REALS, max_size=9).map(lambda v: np.array(v).reshape(-1, 1)),
+)
+
+
+def _ac_list(X):
+    return [AffineCorrespondence(r[0:2], r[2:4], r[4:8].reshape(2, 2)) for r in X]
+
+
+# name: (writer, reference writer, its inputs in every form the writer takes)
+WRITERS = {
+    "acs": (write_acs, _reference_write_acs, st.one_of(_arrays(8), _arrays(8).map(_ac_list))),
+    "matches": (write_matches, _reference_write_matches, st.one_of(
+        _arrays(4), _arrays(4).map(lambda X: X.reshape(-1, 2, 2)))),
+    "points": (write_points, _reference_write_points, st.one_of(
+        _arrays(2), _arrays(2).map(lambda X: X.tolist()))),
+    "mat3": (write_mat3, _reference_write_mat3, _arrays(3, ANY_REALS, st.just(3))),
+    "pose": (write_pose, _reference_write_pose, _poses()),
+    "intrinsics": (write_intrinsics, _reference_write_intrinsics, st.one_of(
+        _intrinsics(st.just(0.0)), _intrinsics(DOUBLES.filter(bool)))),
+    "labels": (write_labels, _reference_write_labels, _LABELS),
+}
+# Rows per block: a few, so that block edges land on every row, or the default.
+BLOCK_SIZES = st.sampled_from([1, 2, 3, fileio._BLOCK_LINES])
+
+
+@pytest.mark.parametrize("name", WRITERS)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_writer_gives_the_per_value_writers_bytes(name, data, round_trip_dir):
+    write, reference, values = WRITERS[name]
+    value = data.draw(values)
+    want, got = round_trip_dir / f"{name}.want", round_trip_dir / f"{name}.got"
+    reference(want, value)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_BLOCK_LINES", data.draw(BLOCK_SIZES))
+        write(got, value)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_refused_labels_leave_the_file_as_it_was(tmp_path):
+    path = tmp_path / "labels.txt"
+    write_labels(path, [True, False, True])
+    kept = path.read_bytes()
+    for labels, message in [(np.zeros((2, 2)), "got (2, 2)"), (np.zeros(()), "got ()"),
+                            (np.zeros((3, 1, 2)), "got (3, 1, 2)")]:
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
+            write_labels(path, labels)
+    with pytest.raises(ValueError):  # numpy refuses ragged input before the file is opened
+        write_labels(path, [[1], [0, 1]])
+    assert path.read_bytes() == kept
+
+
+def _run_main(args):
+    """(exit code, stdout) of an in-process CLI call; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in args])
+    return code, out.getvalue()
+
+
+def _reference_residual_table(acs, F):
+    x1, y1, x2, y2, a11, a12, a21, a22 = acs.T
+    e_pc = epipolar_terms(x1, y1, x2, y2, F)[0]
+    sd_p = sampson_point_batch(x1, y1, x2, y2, F)
+    (m_terms, n_terms) = affine_terms(x1, y1, x2, y2, a11, a12, a21, a22, F)
+    sd_a1, sd_a2 = sampson_affine_batch(x1, y1, x2, y2, a11, a12, a21, a22, F)
+    lines = ["index,e_pc,sd_p,m0,n0,sd_a1,sd_a2"]
+    for i in range(len(acs)):
+        values = (e_pc[i], sd_p[i], m_terms[0][i], n_terms[0][i], sd_a1[i], sd_a2[i])
+        lines.append(",".join([str(i)] + [fmt(v) for v in values]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing residuals print as inf/nan
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(acs=_arrays(8, n_rows=st.integers(1, 7)), F=_arrays(3, n_rows=st.just(3)),
+       block=BLOCK_SIZES)
+def test_residuals_tables_give_the_per_value_bytes(acs, F, block, round_trip_dir):
+    assume(np.any(F))
+    ac_file, f_file, csv = (round_trip_dir / n for n in ("res.csv", "res_F.txt", "res_out.csv"))
+    write_acs(ac_file, acs)
+    write_mat3(f_file, F)
+    table = _reference_residual_table(read_acs(ac_file), FundamentalMatrix(read_mat3(f_file)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_BLOCK_LINES", block)
+        code, out = _run_main(["residuals", ac_file, f_file, "--csv", csv])
+    assert code == 0
+    assert out[:len(table)] == table and out[len(table):].startswith("command = residuals\n")
+    assert csv.read_text(encoding="ascii") == table
+
+
+SMALL_REALS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, -2.0]), st.floats(-1e3, 1e3))
+
+
+def _is_homography(M):
+    try:
+        with np.errstate(all="ignore"):  # det of subnormal entries
+            Homography(M)
+    except (InvalidValue, DegenerateConfiguration):
+        return False
+    return True
+
+
+HOMOGRAPHIES = _arrays(3, SMALL_REALS, st.just(3)).filter(_is_homography)
+
+
+def _reference_gt_affine_table(H, points):
+    lines, skipped = [AC_HEADER], 0
+    for p in points:
+        try:
+            A = gt_affine_from_homography(H, p)
+            q = apply_homography(H, p)
+        except PointAtInfinity:
+            skipped += 1
+            continue
+        ac = AffineCorrespondence(p1=p, p2=q, A=A)
+        lines.append(",".join(fmt(v) for v in ac_array([ac])[0]))
+    return "\n".join(lines) + "\n", skipped
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(H=HOMOGRAPHIES, points=_arrays(2, SMALL_REALS), block=BLOCK_SIZES)
+@example(H=np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 1]]), points=np.array([[-1.0, 0], [2, 3]]),
+         block=1)  # (-1, 0) maps to infinity: skipped, exit 3
+def test_gt_affine_table_gives_the_per_value_bytes(H, points, block, round_trip_dir):
+    h_file, p_file = round_trip_dir / "gt_H.txt", round_trip_dir / "gt_points.csv"
+    write_mat3(h_file, H)
+    write_points(p_file, points)
+    H = Homography(read_mat3(h_file))
+    table, skipped = _reference_gt_affine_table(H, read_points(p_file))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_BLOCK_LINES", block)
+        assert _run_main(["gt-affine", h_file, p_file]) == (3 if skipped else 0, table)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(matches=st.lists(_arrays(4, SMALL_REALS), min_size=1, max_size=3),
+       H=HOMOGRAPHIES, block=BLOCK_SIZES)
+def test_mma_curve_csv_gives_the_per_value_bytes(matches, H, block, round_trip_dir):
+    matches_dir, gt_dir = round_trip_dir / "mma_matches", round_trip_dir / "mma_gt"
+    for d in (matches_dir, gt_dir):
+        shutil.rmtree(d, ignore_errors=True)
+        d.mkdir()
+    for i, m in enumerate(matches):
+        write_matches(matches_dir / f"p{i}.csv", m)
+        write_mat3(gt_dir / f"p{i}.txt", H)
+    pairs = [(read_matches(matches_dir / f"p{i}.csv"), Homography(read_mat3(gt_dir / f"p{i}.txt")))
+             for i in range(len(matches))]
+    rows = ["threshold,mma"] + [f"{thr},{fmt(v)}" for thr, v in
+                                zip(MMA_THRESHOLDS, evaluate_matches(pairs).curve.values)]
+    csv = round_trip_dir / "mma.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_BLOCK_LINES", block)
+        assert _run_main(["eval-mma", matches_dir, gt_dir, "--csv", csv])[0] == 0
+    assert csv.read_text(encoding="ascii") == "\n".join(rows) + "\n"
+
+
+# Stems holding the characters of a %-format, which must reach the file as text.
+STEMS = st.text(alphabet="ab%sd0-_", min_size=1, max_size=5)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(poses=st.dictionaries(STEMS, st.tuples(_poses(), _poses()), min_size=1, max_size=4),
+       block=BLOCK_SIZES)
+def test_pose_error_csv_gives_the_per_value_bytes(poses, block, round_trip_dir):
+    est_dir, gt_dir = round_trip_dir / "pose_est", round_trip_dir / "pose_gt"
+    for d in (est_dir, gt_dir):
+        shutil.rmtree(d, ignore_errors=True)
+        d.mkdir()
+    for stem, (est, gt) in poses.items():
+        write_pose(est_dir / f"{stem}.txt", est)
+        write_pose(gt_dir / f"{stem}.txt", gt)
+    rows = ["pair,rotation_error_deg,translation_error_deg"]
+    for stem in sorted(poses):
+        err = pose_error(read_pose(est_dir / f"{stem}.txt"), read_pose(gt_dir / f"{stem}.txt"))
+        rows.append(f"{stem},{fmt(err.rotation_error)},{fmt(err.translation_error)}")
+    csv = round_trip_dir / "pose.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_BLOCK_LINES", block)
+        assert _run_main(["eval-pose", est_dir, gt_dir, "--csv", csv])[0] == 0
+    assert csv.read_text(encoding="ascii") == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("read, what, text", [
+    (read_mat3, "matrix", "1 2 3\n4 5 6\n7 8 9\n"),
+    (read_pose, "pose", "1 0 0 0 1 0 0 0 1\n1 0 0\n"),
+    (read_intrinsics, "intrinsics", "# fx fy cx cy\n600 600 320 240\n"),
+    (read_labels, "label", "1\n0\n1\n"),
+])
+def test_fixed_format_readers_name_the_line_of_a_non_ascii_byte(read, what, text, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    read(path)  # the clean file reads
+    lines = text.splitlines(keepends=True)
+    lines[1] = lines[1].replace("0", "\xe90", 1) if "0" in lines[1] else "\xe9" + lines[1]
+    path.write_bytes("".join(lines).encode("latin-1"))
+    with pytest.raises(FileFormatError, match=f"non-ASCII byte in {what} file") as exc:
+        read(path)
+    assert exc.value.line == 2
+    # in a comment, and past a CRLF line end, the line is still named
+    path.write_bytes(text.replace("\n", "\r\n", 1).encode() + b"# caf\xc3\xa9\n")
+    with pytest.raises(FileFormatError, match="non-ASCII") as exc:
+        read(path)
+    assert exc.value.line == len(lines) + 1
+
+
+def test_write_acs_holds_one_block_not_the_table(tmp_path):
+    # 400 000 rows, 25.6 MB as an array and about 62 MB as text. The child
+    # caps its address space 96 MB above what it holds with the array built.
+    # Written 64 K rows at a time (one block's floats, their text and its
+    # encoded copy), the file is written under caps down to 52 MB; the
+    # per-value writer, whose tolist() of the whole table alone holds about
+    # 125 MB, needed 152 MB (calibrated in 4 MB steps, numpy 2.4, CPython 3.11).
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        import numpy as np
+        from affgeo.fileio import write_acs
+        acs = np.random.default_rng(3).uniform(-640.0, 640.0, size=(400_000, 8))
+        held = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+        resource.setrlimit(resource.RLIMIT_AS, (held + (96 << 20), held + (96 << 20)))
+        write_acs(sys.argv[1], acs)
+        """
+    )
+    out = tmp_path / "big.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(out)],
+        env=cli_env(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    with open(out, "rb") as fh:
+        assert fileio._line_bound(fh) == 400_002  # the header, the rows, the final break

@@ -52,7 +52,6 @@ from .metrics import (
     MMA_THRESHOLDS,
     evaluate_matches,
     median,
-    mma_curve,
     mma_score,
     pose_auc,
     pose_error,
@@ -202,8 +201,8 @@ def cmd_eval_mma(args) -> int:
         _write_table(args.csv, curve, *_MMA_TABLE)
 
     metrics = {"n_pairs": report_data.n_pairs, "n_matches": report_data.n_matches}
-    for stem, (matches, H) in pairs.items():
-        metrics[f"pair.{stem}.mma_score"] = mma_score(mma_curve(matches, H))
+    for stem, curve in zip(pairs, report_data.pair_curves):
+        metrics[f"pair.{stem}.mma_score"] = mma_score(curve)
     for thr, v in zip(MMA_THRESHOLDS, report_data.curve.values):
         metrics[f"mma@{thr}"] = float(v)
     metrics["mma_score"] = report_data.mma_score

@@ -274,9 +274,12 @@ def read_labels(path) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    """Label file from n values read as bools, (n,) or (n, 1); any other shape
-    raises InvalidArgument before the file is opened."""
-    mask = np.asarray(labels).astype(bool)
+    """Label file from n bool or numeric values read as bools, (n,) or (n, 1);
+    any other dtype or shape raises InvalidArgument before the file is opened."""
+    values = np.asarray(labels)
+    if values.dtype.kind not in "biuf":  # a string would be read by its truthiness
+        raise InvalidArgument(f"labels must be bool or numeric, got dtype {values.dtype}")
+    mask = values.astype(bool)
     if mask.ndim == 0 or mask.size != len(mask):
         raise InvalidArgument(f"labels must be (n,), got {mask.shape}")
     _write_table(path, mask.reshape(-1, 1).view(np.uint8), "%d\n")

@@ -48,12 +48,14 @@ class PoseError:
 
 @dataclass(frozen=True)
 class MatchEvalReport:
-    """Aggregate matching evaluation over one or more image pairs."""
+    """Aggregate matching evaluation over one or more image pairs; curve is
+    the mean of pair_curves, one per pair in input order."""
 
     curve: MmaCurve
     mma_score: float
     n_pairs: int
     n_matches: int
+    pair_curves: tuple[MmaCurve, ...]
 
 
 def _match_errors(m: FloatArray, H_gt) -> tuple[FloatArray, np.ndarray]:
@@ -112,14 +114,15 @@ def evaluate_matches(pairs) -> MatchEvalReport:
     pairs = [(match_array(m), H) for m, H in pairs]
     if not pairs:
         raise InvalidArgument("no image pairs to evaluate")
-    curves = [mma_curve(m, H).values for m, H in pairs]
-    mean_curve = MmaCurve(np.mean(curves, axis=0))
+    curves = tuple(mma_curve(m, H) for m, H in pairs)
+    mean_curve = MmaCurve(np.mean([c.values for c in curves], axis=0))
     n_matches = sum(len(m) for m, _ in pairs)
     return MatchEvalReport(
         curve=mean_curve,
         mma_score=mma_score(mean_curve),
         n_pairs=len(pairs),
         n_matches=int(n_matches),
+        pair_curves=curves,
     )
 
 

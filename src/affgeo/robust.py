@@ -5,8 +5,8 @@ both affine Sampson components; the inlier test itself stays point-only so the
 pixel threshold keeps its meaning. Models are ranked by (inlier count desc,
 truncated score asc, hypothesis index asc), which makes the outcome a pure
 function of the inputs and the seed. The affine terms only break ties
-between equal counts, so they are computed only for hypotheses whose count can
-tie or beat the best one, and for LO refits. Both estimators run the same loop
+between equal counts, so they are computed only when two equal counts are
+compared, and once for the result. Both estimators run the same loop
 (_LoRansac), which draws minimal samples in blocks, solves and counts each block
 in one stacked pass and refits a new best on its inliers while the refits
 improve and the mask still changes; each estimator supplies only its block
@@ -15,6 +15,7 @@ solve (fundamental_batch, homography_batch), its residuals and its LO refit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -55,8 +56,8 @@ class RansacConfig:
     total, which only breaks ties between hypotheses with equal inlier
     counts. It never enters the inlier mask or the count, which use the
     point Sampson distance alone, and homographies ignore it. The affine
-    terms are computed only for hypotheses that can tie or beat the best
-    count, and for LO refits."""
+    terms are computed only when two equal counts are compared, and once for
+    the result."""
 
     threshold: float = 0.5
     confidence: float = 0.99
@@ -127,7 +128,9 @@ class _LoRansac:
     or beat the best one only takes up its iteration. The others become
     model(matrix) and are ranked by (inlier count desc, truncated total asc,
     iteration asc); scores(model, d2) returns the per-correspondence scores
-    whose truncated sum is the total. A new best runs up to 16 local
+    whose truncated sum is the total. A total is computed once, when it is
+    first read: the incumbent's before the challenger's, when their counts are
+    equal, and the best's for the result. A new best runs up to 16 local
     optimisation refits, refit(mask), over its inlier set while they improve
     and the mask still changes (refit is a pure function of the mask; it may
     raise one of the DEGENERATE exceptions), and tightens the
@@ -188,13 +191,16 @@ class _LoRansac:
         return self.result()
 
     def _support(self, model):
-        """An LO refit's inlier mask, count and truncated total."""
+        """An LO refit's inlier mask, count and truncated total (a thunk)."""
         d2 = self.distance(model.matrix[None])[0]
         mask = d2 <= self.thr2
         return mask, int(np.count_nonzero(mask)), self._total(model, d2)
 
-    def _total(self, model, d2) -> float:
-        return float(np.sum(np.fmin(self.scores(model, d2), self.thr2)))
+    def _total(self, model, d2):
+        """The truncated total, as a memoised thunk: it is read only to rank
+        equal counts. It holds no reference to the loop, whose best holds it."""
+        scores, thr2 = self.scores, self.thr2
+        return functools.cache(lambda: float(np.sum(np.fmin(scores(model, d2), thr2))))
 
     def offer(self, matrix, d2, count: int) -> None:
         """Rank a minimal sample's hypothesis from its squared distances d2
@@ -203,10 +209,10 @@ class _LoRansac:
         floor = max(self.sample_size, -self.best[0][0]) if self.best else self.sample_size
         if count < floor:
             return
-        model = self.model(matrix.copy())  # a copy: a kept model does not pin its block
-        mask, total = d2 <= self.thr2, self._total(model, d2)
-        if self.best is not None and (-count, total, self.iterations) >= self.best[0]:
-            return
+        model = self.model(matrix.copy())  # copies: a kept model or total does not pin its block
+        mask, total = d2 <= self.thr2, self._total(model, d2.copy())
+        if self.best is not None and count == -self.best[0][0] and self.best[0][1]() <= total():
+            return  # an equal count whose total does not beat the best's, drawn later
         if self.cfg.lo_enabled:
             for _ in range(16):
                 try:
@@ -214,7 +220,7 @@ class _LoRansac:
                 except DEGENERATE:
                     break
                 new_mask, new_count, new_total = self._support(candidate)
-                if (-new_count, new_total) >= (-count, total):
+                if new_count < count or new_count == count and total() <= new_total():
                     break
                 model, mask, count, total, fit_on = candidate, new_mask, new_count, new_total, mask
                 if np.array_equal(mask, fit_on):  # a fixed point: refit(mask) is candidate again
@@ -235,7 +241,7 @@ class _LoRansac:
             raise NoModelFound(f"{cause} in {self.iterations} iterations")
         (_, total, _), model, mask = self.best
         return RobustEstimate(
-            model=model, inlier_mask=mask, iterations_run=self.iterations, score=total
+            model=model, inlier_mask=mask, iterations_run=self.iterations, score=total()
         )
 
 

@@ -48,9 +48,6 @@ class EssentialMatrix:
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_mat3(self.matrix))
 
-    def singular_values(self) -> FloatArray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
-
 
 @dataclass(frozen=True)
 class Homography:
@@ -155,16 +152,21 @@ def _kron3(A: FloatArray, B: FloatArray) -> FloatArray:
 def _solve_nullspace(rows: FloatArray, faults: list) -> FloatArray:
     """Smallest right singular vector of each sample's (m, 9) constraint rows.
 
-    One SVD gives both the rank (with matrix_rank's tolerance) and the null
-    vector; it is thin unless m < 9, where only the full Vt holds the null
-    vector. Overflowed rows are degenerate. An SVD that does not converge
-    raises LinAlgError, which _in_one_pass handles.
+    One SVD gives both the rank (with matrix_rank's tolerance for m rows) and
+    the null vector; it is thin unless m < 9, where only the full Vt holds the
+    null vector. For m >= 16 it is the SVD of the rows' 9 x 9 R factor: that
+    is LAPACK gesdd's own path past its 11n/6 crossover (Chan, ACM TOMS 1982),
+    so S and Vt are the thin SVD's bit for bit, without its (m, 9) U.
+    Overflowed rows are degenerate. An SVD that does not converge raises
+    LinAlgError, which _in_one_pass handles.
     """
     finite = np.isfinite(rows).all(axis=(1, 2))
     _flag(faults, ~finite, lambda i: "constraint rows overflow")
     if not finite.all():  # zero the non-finite entries: the SVD can hang on them
         rows = np.where(np.isfinite(rows), rows, 0.0)
-    _, S, Vt = np.linalg.svd(rows, full_matrices=rows.shape[1] < 9)
+    m = rows.shape[1]
+    _, S, Vt = np.linalg.svd(np.linalg.qr(rows, mode="r") if m >= 16 else rows,
+                             full_matrices=m < 9)
     tol = S.max(axis=1) * (max(rows.shape[1:]) * np.finfo(S.dtype).eps)
     rank = np.sum(S > tol[:, None], axis=1)
     _flag(faults, rank < 8, lambda i: f"constraint matrix rank {rank[i]} < 8")

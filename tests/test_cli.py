@@ -9,15 +9,19 @@ import time
 import numpy as np
 import pytest
 
-from affgeo import AffineCorrespondence, fileio, generate_scene, sample_acs
+from affgeo import AffineCorrespondence, Homography, cli, fileio, generate_scene, metrics, sample_acs
 from affgeo.cli import main
 from affgeo.fileio import (
     AC_HEADER,
+    RunReport,
+    fmt,
     parse_report,
     read_acs,
     read_labels,
     read_mat3,
+    read_matches,
     read_pose,
+    render_report,
     write_acs,
     write_mat3,
     write_matches,
@@ -425,6 +429,45 @@ class TestEvalMma:
         lines = csv.read_text().splitlines()
         assert lines[0] == "threshold,mma"
         assert len(lines) == 11
+
+    def test_each_pairs_curve_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        matches, gt = tmp_path / "matches", tmp_path / "gt"
+        matches.mkdir()
+        gt.mkdir()
+        rng = np.random.default_rng(9)
+        H = np.array([[1.0, 0.02, 3.0], [-0.01, 1.0, -2.0], [1e-5, 0.0, 1.0]])
+        for stem, n in (("a", 40), ("b", 7), ("c", 25)):
+            p1 = rng.uniform(0.0, 500.0, size=(n, 2))
+            q = np.hstack([p1, np.ones((n, 1))]) @ H.T
+            p2 = q[:, :2] / q[:, 2:] + rng.normal(0.0, 4.0, size=(n, 2))
+            write_matches(matches / f"{stem}.csv", np.hstack([p1, p2]))
+            write_mat3(gt / f"{stem}.txt", H)
+        # the report as computed with one more curve per pair, for its per-pair score
+        pairs = {s: (read_matches(matches / f"{s}.csv"), Homography(read_mat3(gt / f"{s}.txt")))
+                 for s in "abc"}
+        mean = metrics.evaluate_matches(pairs.values())
+        expected = {"n_pairs": 3, "n_matches": 72}
+        for stem, (m, Hgt) in pairs.items():
+            expected[f"pair.{stem}.mma_score"] = metrics.mma_score(metrics.mma_curve(m, Hgt))
+        thresholds = metrics.MMA_THRESHOLDS
+        expected.update({f"mma@{thr}": float(v) for thr, v in zip(thresholds, mean.curve.values)})
+        expected["mma_score"] = mean.mma_score
+        assert len(set(expected.values())) > 8  # pairs and thresholds that differ
+        report = RunReport(command="eval-mma", metrics=expected,
+                           config={"matches_dir": str(matches), "gt_dir": str(gt)})
+        rows = ["threshold,mma"] + [f"{thr},{fmt(v)}" for thr, v in
+                                    zip(thresholds, mean.curve.values)]
+
+        curves = []
+        curve = metrics.mma_curve
+        for module in (metrics, cli):  # the CLI's own name too, should it call mma_curve itself
+            monkeypatch.setattr(module, "mma_curve", lambda *a: curves.append(1) or curve(*a),
+                                raising=False)
+        csv = tmp_path / "curve.csv"
+        assert main(["eval-mma", str(matches), str(gt), "--csv", str(csv)]) == 0
+        assert len(curves) == 3
+        assert capsys.readouterr().out == render_report(report)
+        assert csv.read_text(encoding="ascii") == "\n".join(rows) + "\n"
 
 
 class TestEvalPose:

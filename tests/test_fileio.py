@@ -653,6 +653,21 @@ def test_refused_labels_leave_the_file_as_it_was(tmp_path):
     assert path.read_bytes() == kept
 
 
+@pytest.mark.parametrize("labels", [["0", "1", "no"], np.array(["1", ""]), [b"0", b"1"],
+                                    np.array([True, None], dtype=object), [1 + 0j]])
+def test_labels_neither_bool_nor_numeric_refused(tmp_path, labels):
+    # a string would be read by its truthiness: "0" and "no" as True
+    path = tmp_path / "labels.txt"
+    write_labels(path, [False, True])
+    kept = path.read_bytes()
+    with pytest.raises(InvalidArgument, match="labels must be bool or numeric, got dtype"):
+        write_labels(path, labels)
+    assert path.read_bytes() == kept
+    with pytest.raises(InvalidArgument):
+        write_labels(tmp_path / "new.txt", labels)
+    assert not (tmp_path / "new.txt").exists()
+
+
 def _run_main(args):
     """(exit code, stdout) of an in-process CLI call; stderr is dropped."""
     out = io.StringIO()

@@ -1,11 +1,13 @@
 """Tests for the affine-aware LO-RANSAC estimators."""
 
+import gc
 import math
 import subprocess
 import sys
 import textwrap
 import threading
 from itertools import compress
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from affgeo import (
     sample_acs,
     sampson_point,
 )
-from affgeo.errors import NoModelFound, TooFewCorrespondences
+from affgeo.errors import DegenerateConfiguration, NoModelFound, TooFewCorrespondences
 from affgeo.metrics import pose_error
 from affgeo.residuals import FundamentalMatrix, sampson_point_batch
 
@@ -501,6 +503,128 @@ class TestLazyTieBreak:
         assert lazy.model.matrix.tobytes() == eager.model.matrix.tobytes()
         assert lazy.inlier_mask.tobytes() == eager.inlier_mask.tobytes()
         assert (lazy.iterations_run, lazy.score) == (eager.iterations_run, eager.score)
+
+
+def _total_reader():
+    """Where a total is being read: "result", or ("best" | "lo", the
+    incumbent's count, the challenger's count) from the locals of the
+    _LoRansac.offer frame that compares them (the LO loop's candidate count
+    is new_count, bound only once a refit was scored)."""
+    codes = {robust._LoRansac.offer.__code__: "offer", robust._LoRansac.result.__code__: "result"}
+    frame = sys._getframe(1)
+    while frame.f_code not in codes:
+        frame = frame.f_back
+    where, local = codes[frame.f_code], frame.f_locals
+    if where == "result":
+        return where
+    if "new_count" in local:
+        return "lo", local["count"], local["new_count"]
+    return "best", -local["self"].best[0][0], local["count"]
+
+
+class TestTotalsOnDemand:
+    """A truncated total is computed only when it is read: when two equal
+    counts are compared (the incumbent's total first) and once for the
+    result. A strictly higher count wins without reading any total."""
+
+    @pytest.mark.parametrize("seed, kinds", [
+        (0, {"lo", "result"}), (23, {"best"}), (27, {"lo"}), (1, {"result"}),
+    ])
+    def test_affine_terms_only_at_equal_counts_and_for_the_result(self, monkeypatch, seed, kinds):
+        scene = generate_scene(seed=seed, n_planes=3)
+        acs, _ = sample_acs(scene, 200, NoiseSpec(point_sigma=0.5, outlier_fraction=0.4),
+                            seed=seed + 1)
+        cfg = RansacConfig(seed=seed + 2)
+        # before the spy: the reference scores through robust.sampson_affine_batch too
+        expected = _estimate_outcome(_reference_ransac_fundamental, acs, cfg)
+        reads = []
+        affine = robust.sampson_affine_batch
+        monkeypatch.setattr(robust, "sampson_affine_batch",
+                            lambda *args: reads.append(_total_reader()) or affine(*args))
+        assert _estimate_outcome(ransac_fundamental, acs, cfg) == expected
+        assert isinstance(expected[0], bytes)
+        assert {read if read == "result" else read[0] for read in reads} == kinds
+        assert all(read[1] == read[2] for read in reads if read != "result")
+        assert reads.count("result") <= 1 and "result" not in reads[:-1]
+
+    # (squared point distance, per-AC score) of 8 correspondences, as in
+    # TestLazyTieBreak: the parent hypothesis has 5 inliers and total 1.375.
+    PARENT = ([0.0] * 5 + [1.0] * 3, [0.125] * 5 + [1.0] * 3)
+    CANDIDATES = {
+        "lower total": (PARENT[0], [0.0625] * 5 + [1.0] * 3),  # total 1.0625: wins
+        "equal total": PARENT,  # loses: the parent keeps a tie
+        "higher total": (PARENT[0], [0.25] * 5 + [1.0] * 3),  # total 2.0: loses
+        "higher count": ([0.0] * 6 + [1.0] * 2, [0.0] * 8),  # wins unscored
+    }
+
+    @pytest.mark.parametrize("name, winner, score, scored", [
+        ("lower total", 1, 1.0625, [0, 1]),
+        ("equal total", 0, 1.375, [0, 1]),
+        ("higher total", 0, 1.375, [0, 1]),
+        ("higher count", 1, 0.0, [1]),
+    ])
+    def test_lo_candidate_of_its_parents_count(self, name, winner, score, scored):
+        hypotheses = [self.PARENT, self.CANDIDATES[name]]
+        parent_mask = np.array(self.PARENT[0]) <= 0.25
+        read = []
+
+        def model(i):
+            return SimpleNamespace(matrix=np.asarray(i))
+
+        def refit(mask):  # the candidate refits the parent's inliers only
+            if not np.array_equal(mask, parent_mask):
+                raise DegenerateConfiguration("a refit of another mask")
+            return model(1)
+
+        def scores(m, d2):
+            read.append(int(m.matrix))
+            return np.array(hypotheses[int(m.matrix)][1])
+
+        loop = robust._LoRansac(
+            RansacConfig(seed=0, max_iterations=1), 3, 8, 8,
+            solve=lambda block: (np.zeros(len(block), dtype=int), [None] * len(block)),
+            distance=lambda stack: np.array([hypotheses[int(i)][0] for i in stack]),
+            model=model,
+            scores=scores,
+            refit=refit,
+        )
+        est = loop.run()
+        assert int(est.model.matrix) == winner
+        assert est.score == score
+        assert est.inlier_mask.tolist() == (np.array(hypotheses[winner][0]) <= 0.25).tolist()
+        assert read == scored
+
+    def test_kept_distances_do_not_pin_their_block(self, monkeypatch):
+        # a kept total holds its hypothesis' (N,) distances; a row view of a
+        # block's (B, N) distances would keep the whole block alive
+        blocks, kept = [], []
+        point = robust.sampson_point_batch
+        monkeypatch.setattr(robust, "sampson_point_batch",
+                            lambda *args: blocks.append(point(*args)) or blocks[-1])
+        total = robust._LoRansac._total
+        monkeypatch.setattr(robust._LoRansac, "_total",
+                            lambda loop, model, d2: kept.append(d2) or total(loop, model, d2))
+        scene = generate_scene(seed=20, n_planes=3)
+        acs, _ = sample_acs(scene, 200, NoiseSpec(point_sigma=0.5, outlier_fraction=0.4), seed=20)
+        ransac_fundamental(acs, RansacConfig(seed=20, lo_enabled=False))
+        assert kept and len(blocks[0]) > 1
+        for d2 in kept:
+            assert any(np.array_equal(d2, row) for block in blocks for row in block)
+            assert not any(np.shares_memory(d2, block) for block in blocks)
+
+    def test_a_finished_loop_leaves_no_reference_cycle(self):
+        # a kept total that held the loop would make loop -> best -> total ->
+        # loop a cycle, which only the cyclic collector frees
+        scene = generate_scene(seed=3, n_planes=3)
+        acs, _ = sample_acs(scene, 200, NoiseSpec(point_sigma=0.5, outlier_fraction=0.4), seed=4)
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in range(5):
+                ransac_pose(acs, scene.K1, scene.K2, RansacConfig(seed=seed))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRansacPose:

@@ -5,18 +5,20 @@ round-trips doubles exactly: write -> read -> write is byte-identical. Lines
 starting with '#' are comments; the AC/match/point tables carry a header line
 naming their columns.
 
-The table readers (read_acs, read_matches, read_points) stream the file. They
-first count its line breaks, an upper bound on its rows, and allocate the
-float64 array for that many rows, so a file too large for memory fails before
-any parsing. The lines through the first row then take the per-line rule
-(_parse_lines: header, comments, blank lines, one float() per field). The
-rest are read in blocks of _BLOCK_LINES lines. A block holding only digits,
-'+-.eE', commas, spaces and '\\n' (or '\\r\\n') is parsed by one np.loadtxt
-call, and kept when that gives one row of finite values per line. Any other
-block goes through the per-line rule, so each error keeps its message and
-line, and the first fault in file order is reported. Memory is the array
-plus one block (a pipe, which cannot be read twice, is held whole). Every
-reader names the line of a non-ASCII byte (_lines).
+Every reader takes the file in blocks of _BLOCK_LINES lines from one
+iterator (_blocks) and names the line of a non-ASCII byte (_lines). The table
+readers (read_acs, read_matches, read_points, and read_labels: one 0/1
+column) first count the line breaks, an upper bound on the rows, and allocate
+the float64 array for that many rows, so a file too large for memory fails
+before any parsing. The lines through the first row then take the per-line
+rule (_parse_lines: header, comments, blank lines, one float() per field). A
+later block holding only digits, '+-.eE', commas, spaces and '\\n' (or
+'\\r\\n') is parsed by one np.loadtxt call, and kept when that gives one row
+of finite values per line. Any other block goes through the per-line rule, so
+each error keeps its message and line, and the first fault in file order is
+reported. Memory is the array plus one block (a pipe, which cannot be read
+twice, is held whole). The fixed-size readers parse every token in file
+order, keeping as many values as a valid file holds and counting the rest.
 
 Every table the package writes, to a file or stdout, goes through one
 routine, _write_table: an optional header, then each row as the text of one
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -94,6 +97,12 @@ def _line_bound(fh) -> int:
         bound += int(np.count_nonzero(b - 10 < 4) + np.count_nonzero(b - 28 < 3))
         bound -= chunk.count(b"\r\n") if b"\r" in chunk else 0  # `in` is a memchr, ~70x faster
     return bound
+
+
+def _blocks(fh):
+    """(line count, bytes) of each next _BLOCK_LINES lines of binary file fh."""
+    while lines := list(islice(fh, _BLOCK_LINES)):
+        yield len(lines), b"".join(lines)
 
 
 def _lines(data: bytes, what: str, line_no: int = 0):
@@ -166,9 +175,8 @@ def _read_table(path, n_fields: int, what: str) -> np.ndarray:
         n_rows = line_no = 0
         while not n_rows and (line := fh.readline()):
             n_rows, line_no = _parse_lines(line, table, n_rows, line_no, what)
-        while lines := list(islice(fh, _BLOCK_LINES)):
-            block = b"".join(lines)
-            rows = _fast_rows(block, len(lines), n_fields)
+        for n_lines, block in _blocks(fh):
+            rows = _fast_rows(block, n_lines, n_fields)
             if rows is None:
                 n_rows, line_no = _parse_lines(block, table, n_rows, line_no, what)
             else:
@@ -216,20 +224,25 @@ def write_points(path, points) -> None:
 
 # --- fixed-size formats ----------------------------------------------------------
 
+_TOKEN = re.compile(r"[^\s,]+")  # a token of line.replace(",", " ").split()
+
+
 def _numeric_tokens(path, what: str, *counts: int) -> list[float]:
-    """The reals of a fixed-size file: as many as one of counts, if given."""
+    """The reals of a fixed-size file, as many as one of counts."""
+    values, n_values, line_no = [], 0, 0
     with open(path, "rb") as fh:
-        data = fh.read()
-    values = []
-    for line_no, _, line in _lines(data, what):
-        for tok in line.replace(",", " ").split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise FileFormatError(f"unparseable {what} value {tok!r}", line=line_no)
-    if counts and len(values) not in counts:
+        for _, block in _blocks(fh):
+            for line_no, _, line in _lines(block, what, line_no):
+                for tok in map(re.Match.group, _TOKEN.finditer(line)):
+                    try:
+                        values.append(float(tok))
+                    except ValueError:
+                        raise FileFormatError(f"unparseable {what} value {tok!r}", line=line_no)
+                    n_values += 1
+                    del values[max(counts):]  # past that, only count
+    if n_values not in counts:
         expected = " or ".join(map(str, counts))
-        raise InvalidValue(f"{what} file {path} holds {len(values)} values, expected {expected}")
+        raise InvalidValue(f"{what} file {path} holds {n_values} values, expected {expected}")
     return values
 
 
@@ -267,10 +280,11 @@ def write_intrinsics(path, K: CameraIntrinsics) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    values = _numeric_tokens(path, "label")
-    if any(v not in (0.0, 1.0) for v in values):
+    """(N,) bool array of a one-column table of 0s and 1s."""
+    values = _read_table(path, 1, "label")[:, 0]
+    if not ((values == 0.0) | (values == 1.0)).all():
         raise FileFormatError(f"labels in {path} must be 0 or 1")
-    return np.array(values, dtype=float).astype(bool)
+    return values == 1.0
 
 
 def write_labels(path, labels) -> None:
@@ -279,6 +293,8 @@ def write_labels(path, labels) -> None:
     values = np.asarray(labels)
     if values.dtype.kind not in "biuf":  # a string would be read by its truthiness
         raise InvalidArgument(f"labels must be bool or numeric, got dtype {values.dtype}")
+    if np.isnan(values).any():  # astype(bool) would read NaN as an inlier
+        raise InvalidArgument("labels must not be NaN")
     mask = values.astype(bool)
     if mask.ndim == 0 or mask.size != len(mask):
         raise InvalidArgument(f"labels must be (n,), got {mask.shape}")

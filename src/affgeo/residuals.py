@@ -39,8 +39,7 @@ def _largest_entry_sign_fix(M: FloatArray) -> FloatArray:
 
 @dataclass(frozen=True)
 class FundamentalMatrix:
-    """3x3 fundamental matrix wrapper. Construction does not force invariants;
-    use normalized() / rank2_projected() where the contracts require them."""
+    """3x3 fundamental matrix wrapper; only normalized() fixes its scale and sign."""
 
     matrix: Mat3
 
@@ -51,13 +50,6 @@ class FundamentalMatrix:
         """Unit Frobenius norm, largest-magnitude entry positive."""
         M = self.matrix / np.linalg.norm(self.matrix)
         return FundamentalMatrix(_largest_entry_sign_fix(M))
-
-    def rank2_projected(self) -> "FundamentalMatrix":
-        """Zero the smallest singular value."""
-        U, S, Vt = np.linalg.svd(self.matrix)
-        S = S.copy()
-        S[2] = 0.0
-        return FundamentalMatrix(U @ np.diag(S) @ Vt)
 
 
 # --- vectorised constraint terms -------------------------------------------

@@ -1,7 +1,10 @@
 """Shared fixtures: seeded scenes and AC batches used across test modules."""
 
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,26 @@ def cli_env(**overrides):
     env.update({k: str(v) for k, v in overrides.items()})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     return env
+
+
+def run_capped(script, headroom_mb, *args, timeout=120):
+    """Run the Python script, with args as sys.argv[1:], in a child whose
+    address space is capped at what it holds once affgeo is imported plus
+    headroom_mb MB; one BLAS thread, since each reserves its own buffers.
+    Returns the CompletedProcess, stdout and stderr as text."""
+    cap = textwrap.dedent(
+        f"""
+        import resource, sys
+        import affgeo.cli
+        held = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+        resource.setrlimit(resource.RLIMIT_AS, (held + ({headroom_mb} << 20),) * 2)
+        """
+    )
+    return subprocess.run(
+        [sys.executable, "-c", cap + textwrap.dedent(script), *map(str, args)],
+        env=cli_env(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1),
+        capture_output=True, text=True, timeout=timeout,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -63,7 +63,7 @@ from affgeo.solvers import (
     gt_affine_from_homography,
 )
 
-from conftest import cli_env
+from conftest import cli_env, run_capped
 
 TRICKY = [0.1, -1.0 / 3.0, 1e-300, 2.5e17, -7.125, np.pi, 1.0000000000000002]
 
@@ -645,7 +645,8 @@ def test_refused_labels_leave_the_file_as_it_was(tmp_path):
     write_labels(path, [True, False, True])
     kept = path.read_bytes()
     for labels, message in [(np.zeros((2, 2)), "got (2, 2)"), (np.zeros(()), "got ()"),
-                            (np.zeros((3, 1, 2)), "got (3, 1, 2)")]:
+                            (np.zeros((3, 1, 2)), "got (3, 1, 2)"),
+                            ([float("nan"), 0.5, -0.0], "NaN")]:
         with pytest.raises(InvalidArgument, match=re.escape(message)):
             write_labels(path, labels)
     with pytest.raises(ValueError):  # numpy refuses ragged input before the file is opened
@@ -820,6 +821,150 @@ def test_fixed_format_readers_name_the_line_of_a_non_ascii_byte(read, what, text
     with pytest.raises(FileFormatError, match="non-ASCII") as exc:
         read(path)
     assert exc.value.line == len(lines) + 1
+
+
+# --- labels: a table of one column ----------------------------------------------
+
+def test_labels_read_as_a_table(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_bytes(b"label\r\n# inliers\r\n1\r\n\r\n0 # an outlier\r\n  1\r\n")
+    assert read_labels(path).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\n0 1\n", "expected 1 fields per label row, got 2"),
+    ("1\nnan\n", "non-finite value in label row"),
+])
+def test_label_line_that_is_not_one_real_is_named(text, message, tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=message) as exc:
+        read_labels(path)
+    assert exc.value.line == 2
+
+
+def test_label_other_than_0_or_1_keeps_its_message(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n2\n")
+    with pytest.raises(FileFormatError, match=re.escape(f"labels in {path} must be 0 or 1")):
+        read_labels(path)
+
+
+# --- the streamed fixed-size reader against the whole-file reader it replaced ------
+
+def _reference_numeric_tokens(path, what, *counts):
+    """Reference: the fixed-size reader as first written, over the whole file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    values = []
+    for line_no, _, line in fileio._lines(data, what):
+        for tok in line.replace(",", " ").split():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise FileFormatError(f"unparseable {what} value {tok!r}", line=line_no)
+    if counts and len(values) not in counts:
+        expected = " or ".join(map(str, counts))
+        raise InvalidValue(f"{what} file {path} holds {len(values)} values, expected {expected}")
+    return values
+
+
+# What may sit between tokens, and what ends a line (str.splitlines' ASCII breaks).
+TOKEN_SEPARATORS = [" ", " ", ",", ", ", ",,", "\t", "\x1f", " ,\t"]
+LINE_ENDS = ["\n"] * 8 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+BAD_TOKENS = st.sampled_from(["1e", "x", "1..2", "--1", "0x10", "-", "1e5_"])
+# Tokens float() reads that a file written by write_mat3 does not hold.
+ODD_REALS = st.sampled_from(["nan", "-inf", "Infinity", "1e5000", "1_0", "+.5", "-0"])
+
+
+@st.composite
+def _fixed_texts(draw):
+    """A fixed-size file as bytes: lines of 1-5 tokens, mostly numbers and
+    often 4, 5, 9 or 12 in all, with bad tokens, comments, blank lines, every
+    ASCII line break and, now and then, a non-ASCII byte mixed in."""
+    n_left, lines = draw(st.one_of(st.integers(0, 14), st.sampled_from([4, 5, 9, 12]))), []
+    while n_left or draw(st.integers(0, 2)) == 2:
+        kind = draw(st.sampled_from(["values"] * 6 + ["comment", "blank"])) if n_left else "blank"
+        if kind == "values":
+            n = draw(st.integers(1, min(5, n_left)))
+            n_left -= n
+            tokens = [draw({49: BAD_TOKENS, 48: ODD_REALS}.get(draw(st.integers(0, 49)), NUMBERS))
+                      for _ in range(n)]
+            seps = [draw(st.sampled_from(TOKEN_SEPARATORS)) for _ in tokens]
+            seps[-1] = draw(st.sampled_from(["", "", " ", " # note", ",", "# 1 2"]))
+            line = "".join(t + sep for t, sep in zip(tokens, seps))
+        elif kind == "comment":
+            line = "# " + draw(st.text(alphabet="ab12,# ", max_size=6))
+        else:
+            line = draw(st.sampled_from(["", "  ", " , ", "\t", "# 1"]))
+        lines.append(line + draw(st.sampled_from(LINE_ENDS)))
+    text = "".join(lines)
+    text = text[:-1] if text and draw(st.booleans()) else text  # maybe no final line break
+    if draw(st.integers(0, 19)) == 19:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\xe9" + text[at:]
+    return text.encode("latin-1")
+
+
+def _fixed_outcome(read):
+    try:
+        return repr(read())  # repr tells -0.0 from 0.0 and matches nan
+    except (FileFormatError, InvalidValue) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("counts", [(9,), (12,), (4, 5)])
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_streamed_fixed_reader_matches_whole_file_reference(counts, data, round_trip_dir):
+    """Every 1-3 lines start a block: the values, or the error class, message
+    and line, are the whole-file reader's."""
+    path = round_trip_dir / "fixed.txt"
+    path.write_bytes(data.draw(_fixed_texts()))
+    expected = _fixed_outcome(lambda: _reference_numeric_tokens(path, "matrix", *counts))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_BLOCK_LINES", data.draw(st.integers(1, 3)))
+        assert _fixed_outcome(lambda: fileio._numeric_tokens(path, "matrix", *counts)) == expected
+
+
+# --- memory: every reader holds one block of lines --------------------------------
+
+# 2 000 000 values of 11 bytes and a separator: 24 MB of text.
+BIG_VALUES = ["0.123456789"] * 2_000_000
+
+
+@pytest.mark.parametrize("sep, headroom_mb", [("\n", 64), (" ", 128)],
+                         ids=["one value per line", "one line"])
+def test_oversized_matrix_file_names_its_count_under_a_cap(sep, headroom_mb, tmp_path):
+    # Held whole, with a float object per value, such a file needed more than
+    # 192 MB in either layout. Streamed, one value per line reads with 32 MB,
+    # one line with 96 MB (copies of the line); both count all the values.
+    h_file, points = tmp_path / "H.txt", tmp_path / "points.csv"
+    h_file.write_text(sep.join(BIG_VALUES) + "\n")
+    write_points(points, [[1.0, 2.0]])
+    proc = run_capped(
+        "from affgeo.cli import main\nsys.exit(main(sys.argv[1:]))\n", headroom_mb,
+        "gt-affine", h_file, points,
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert f"holds {len(BIG_VALUES)} values, expected 9" in proc.stderr
+    assert "out of memory" not in proc.stderr
+
+
+def test_label_file_reads_as_a_table_under_a_cap(tmp_path):
+    # 2 000 000 labels, 4 MB of text, are a 16 MB column and 2 MB of bools.
+    # Read a block at a time, 32 MB of headroom is enough; with a float object
+    # per label, the reader needed 128 MB.
+    path = tmp_path / "labels.txt"
+    path.write_text("1\n0\n" * 1_000_000)
+    script = """
+        from affgeo.fileio import read_labels
+        labels = read_labels(sys.argv[1])
+        print(labels.dtype, labels.size, int(labels.sum()))
+        """
+    proc = run_capped(script, 64, path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["bool", "2000000", "1000000"]
 
 
 def test_write_acs_holds_one_block_not_the_table(tmp_path):

@@ -301,10 +301,6 @@ class TestFundamentalMatrixType:
         flat = F.matrix.ravel()
         assert flat[np.argmax(np.abs(flat))] > 0.0
 
-    def test_rank2_projected(self, rng):
-        F = FundamentalMatrix(rng.normal(size=(3, 3))).rank2_projected()
-        assert abs(np.linalg.det(F.matrix)) <= 1e-12 * np.linalg.norm(F.matrix) ** 3
-
     def test_rejects_zero_matrix(self):
         with pytest.raises(ValueError):
             FundamentalMatrix(np.zeros((3, 3)))
